@@ -1,9 +1,7 @@
 """Information-theoretic cost-benefit analysis of analysis/visualization workflows."""
 
-from ._kernels import BACKEND
 from .alphabet import (
     Alphabet,
-    Letter,
     Pmf,
     enumerated,
     entropy,

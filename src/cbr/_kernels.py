@@ -1,113 +1,34 @@
 """Numeric kernels for entropy, KL divergence and mutual information.
 
-Two interchangeable backends: numba-jitted loops (default when numba is
-importable) and plain numpy. Select explicitly with the environment
-variable ``CBR_KERNEL_BACKEND=numba|numpy`` before the first import.
-
-All kernels take contiguous float64 arrays. Probabilities must already be
-validated; entries <= 0 are treated as exact zeros (0 * log 0 == 0).
+All kernels take float64 arrays. Probabilities must already be validated;
+entries <= 0 are treated as exact zeros (0 * log 0 == 0).
 """
-
-import os
 
 import numpy as np
 
-__all__ = ["BACKEND", "entropy_bits", "kl_bits", "mi_bits"]
+__all__ = ["entropy_bits", "kl_bits", "mi_bits"]
 
 
-def _np_entropy_bits(p: np.ndarray) -> float:
+def entropy_bits(p: np.ndarray) -> float:
+    p = np.asarray(p, dtype=np.float64)
     p = p[p > 0.0]
     return float(-np.sum(p * np.log2(p)))
 
 
-def _np_kl_bits(p: np.ndarray, q: np.ndarray) -> float:
+def kl_bits(p: np.ndarray, q: np.ndarray) -> float:
+    p = np.asarray(p, dtype=np.float64)
+    q = np.asarray(q, dtype=np.float64)
     m = p > 0.0
     pm = p[m]
-    return float(np.sum(pm * (np.log2(pm) - np.log2(q[m]))))
+    d = float(np.sum(pm * (np.log2(pm) - np.log2(q[m]))))
+    # Gibbs' inequality: D_KL >= 0; a negative sum is rounding error.
+    return max(d, 0.0)
 
 
-def _np_mi_bits(joint: np.ndarray) -> float:
+def mi_bits(joint: np.ndarray) -> float:
+    joint = np.asarray(joint, dtype=np.float64)
     px = joint.sum(axis=1)
     py = joint.sum(axis=0)
     outer = px[:, None] * py[None, :]
     m = joint > 0.0
     return float(np.sum(joint[m] * (np.log2(joint[m]) - np.log2(outer[m]))))
-
-
-_requested = os.environ.get("CBR_KERNEL_BACKEND", "").strip().lower()
-if _requested not in ("", "numba", "numpy"):
-    raise ValueError(f"unknown CBR_KERNEL_BACKEND: {_requested!r}")
-
-_numba_ok = False
-if _requested != "numpy":
-    try:
-        from numba import njit
-
-        _numba_ok = True
-    except ImportError:
-        if _requested == "numba":
-            raise
-
-if _numba_ok:
-    BACKEND = "numba"
-
-    @njit(cache=True)
-    def _nb_entropy_bits(p):
-        h = 0.0
-        for i in range(p.shape[0]):
-            if p[i] > 0.0:
-                h -= p[i] * np.log2(p[i])
-        return h
-
-    @njit(cache=True)
-    def _nb_kl_bits(p, q):
-        d = 0.0
-        for i in range(p.shape[0]):
-            if p[i] > 0.0:
-                d += p[i] * (np.log2(p[i]) - np.log2(q[i]))
-        return d
-
-    @njit(cache=True)
-    def _nb_mi_bits(joint):
-        n, m = joint.shape
-        px = np.zeros(n)
-        py = np.zeros(m)
-        for i in range(n):
-            for j in range(m):
-                px[i] += joint[i, j]
-                py[j] += joint[i, j]
-        mi = 0.0
-        for i in range(n):
-            for j in range(m):
-                v = joint[i, j]
-                if v > 0.0:
-                    mi += v * (np.log2(v) - np.log2(px[i] * py[j]))
-        return mi
-
-    def entropy_bits(p: np.ndarray) -> float:
-        return float(_nb_entropy_bits(np.ascontiguousarray(p, dtype=np.float64)))
-
-    def kl_bits(p: np.ndarray, q: np.ndarray) -> float:
-        return float(
-            _nb_kl_bits(
-                np.ascontiguousarray(p, dtype=np.float64),
-                np.ascontiguousarray(q, dtype=np.float64),
-            )
-        )
-
-    def mi_bits(joint: np.ndarray) -> float:
-        return float(_nb_mi_bits(np.ascontiguousarray(joint, dtype=np.float64)))
-
-else:
-    BACKEND = "numpy"
-
-    def entropy_bits(p: np.ndarray) -> float:
-        return _np_entropy_bits(np.asarray(p, dtype=np.float64))
-
-    def kl_bits(p: np.ndarray, q: np.ndarray) -> float:
-        return _np_kl_bits(
-            np.asarray(p, dtype=np.float64), np.asarray(q, dtype=np.float64)
-        )
-
-    def mi_bits(joint: np.ndarray) -> float:
-        return _np_mi_bits(np.asarray(joint, dtype=np.float64))

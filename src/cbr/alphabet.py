@@ -13,24 +13,13 @@ All entropies are base-2 (bits).
 
 import math
 from dataclasses import dataclass
-from typing import Mapping, NamedTuple, NoReturn, Optional, Union
+from typing import Mapping, NoReturn, Optional, Union
 
 import numpy as np
 
 from . import _kernels
 
 PROB_TOL = 1e-9
-
-
-class Letter(NamedTuple):
-    """A single valid value of a variable, identified by an opaque id.
-
-    A named tuple: immutable, and cheap to build, which matters for
-    alphabets of thousands of letters.
-    """
-
-    id: str
-    payload: object = None
 
 
 def _reject(probs: Mapping[str, float]) -> NoReturn:
@@ -100,12 +89,14 @@ class Pmf:
 
 @dataclass(frozen=True)
 class Enumerated:
-    letters: tuple
+    """An explicit letter set: letter ids in order, and their pmf."""
+
+    ids: tuple
     pmf: Pmf
 
     def __post_init__(self):
-        ids = {lt.id for lt in self.letters}
-        if len(ids) != len(self.letters):
+        ids = set(self.ids)
+        if len(ids) != len(self.ids):
             raise ValueError("duplicate letter ids")
         if ids != self.pmf._probs.keys():
             raise ValueError("pmf support does not match letter set")
@@ -150,7 +141,7 @@ class Alphabet:
     def letter_ids(self) -> tuple:
         if not self.is_enumerated:
             raise ValueError("mode mismatch: alphabet is not enumerated")
-        return tuple(lt.id for lt in self.model.letters)
+        return self.model.ids
 
     def prob_vector(self) -> np.ndarray:
         """Probabilities aligned with ``letter_ids()`` order."""
@@ -158,13 +149,12 @@ class Alphabet:
         if not isinstance(m, Enumerated):
             raise ValueError("mode mismatch: alphabet is not enumerated")
         probs = m.pmf._probs
-        return np.array([probs[lt.id] for lt in m.letters], dtype=np.float64)
+        return np.fromiter(map(probs.__getitem__, m.ids), dtype=np.float64, count=len(m.ids))
 
 
 def enumerated(name: str, probs: Mapping[str, float]) -> Alphabet:
     """Build an enumerated alphabet from a letter-id -> probability map."""
-    letters = tuple(Letter(lid) for lid in probs)
-    return Alphabet(name, Enumerated(letters, Pmf(probs)))
+    return Alphabet(name, Enumerated(tuple(probs), Pmf(probs)))
 
 
 def uniform(name: str, letter_ids) -> Alphabet:
@@ -192,7 +182,7 @@ def max_entropy(a: Alphabet) -> float:
     """Entropy under the uniform distribution: log2 of the cardinality."""
     m = a.model
     if isinstance(m, Enumerated):
-        return math.log2(len(m.letters))
+        return math.log2(len(m.ids))
     if isinstance(m, Symbolic):
         return m.max_entropy_bits
     return m.count * max_entropy(m.factor)
@@ -211,12 +201,10 @@ def restrict(a: Alphabet, subset, name: Optional[str] = None) -> Alphabet:
     if not isinstance(m, Enumerated):
         raise ValueError("mode mismatch: restrict requires an enumerated alphabet")
     subset = set(subset)
-    ids = set(lt.id for lt in m.letters)
-    if not subset or not subset <= ids:
+    if not subset or not subset <= set(m.ids):
         raise ValueError("unconditionable subset")
     mass = math.fsum(m.pmf[lid] for lid in subset)
     if mass <= 0.0:
         raise ValueError("unconditionable subset")
-    letters = tuple(lt for lt in m.letters if lt.id in subset)
-    probs = {lt.id: m.pmf[lt.id] / mass for lt in letters}
-    return Alphabet(name or f"{a.name}|{len(subset)}", Enumerated(letters, Pmf(probs)))
+    probs = {lid: m.pmf[lid] / mass for lid in m.ids if lid in subset}
+    return enumerated(name or f"{a.name}|{len(subset)}", probs)

@@ -14,7 +14,7 @@ import numpy as np
 
 from . import _kernels
 from .alphabet import Alphabet, entropy, max_entropy
-from .transform import CostRecord, Grouping, Transform, deterministic_map
+from .transform import CostRecord, Grouping, Transform, deterministic_codes
 from .reconstruction import Reconstruction, distortion_bits
 
 ENTROPY_MODES = ("actual", "maximal")
@@ -107,10 +107,8 @@ def grouping_check(input: Alphabet, grouping: Transform) -> float:
     """
     if not isinstance(grouping.kind, Grouping):
         raise ValueError("mode mismatch: grouping_check requires a grouping")
-    det = deterministic_map(grouping, input)
+    codes, _ = deterministic_codes(grouping, input)
     p = input.prob_vector()
-    index = {y: code for code, y in enumerate(dict.fromkeys(det.values()))}
-    codes = np.fromiter(map(index.__getitem__, det.values()), dtype=np.intp, count=len(det))
     q = np.bincount(codes, weights=p)
     live = p > 0.0  # 0 log 0 := 0; a group with q_k = 0 has H_k = 0
     r = p[live] / q[codes[live]]

@@ -6,20 +6,19 @@ output pmf, is the observer's impression of the input. Distortion is the
 KL divergence (bits) between that impression and the true input pmf.
 """
 
-import math
 from dataclasses import dataclass
 from typing import Optional, Union
 
 import numpy as np
 
 from . import _kernels
-from .alphabet import Alphabet, Enumerated, Pmf, entropy
+from .alphabet import Alphabet, Pmf, entropy
 from .transform import (
     DeclaredHuman,
     Grouping,
     Quantizer,
     Transform,
-    deterministic_map,
+    deterministic_codes,
     mutual_information,
     pushforward,
 )
@@ -72,47 +71,37 @@ class Impression:
     pmf: Pmf
 
 
-def _preimages(det_map: dict) -> dict:
-    pre: dict = {}
-    for lid, target in det_map.items():
-        pre.setdefault(target, []).append(lid)
-    return pre
-
-
 def impression(g: Reconstruction, t: Transform, input: Alphabet) -> Impression:
-    """Mixture impression p(z') = sum_y q_out(y) g(z'|y)."""
+    """Mixture impression p(z') = sum_y q_out(y) g(z'|y).
+
+    Each rule weighs the letters of a preimage by ``w`` (the input pmf, 1,
+    or the prior) and gives letter x the share q_out(y) w(x) / sum w over
+    the preimage of y.
+    """
     kind = g.kind
     if isinstance(kind, DeclaredDivergence):
         raise ValueError("no enumerated impression available")
     if not isinstance(t.kind, (Grouping, Quantizer)):
         raise ValueError("mode mismatch: impression requires a deterministic transform")
 
-    det = deterministic_map(t, input)
-    pre = _preimages(det)
-    in_pmf = input.model.pmf
-    q_out = {y: math.fsum(in_pmf[x] for x in xs) for y, xs in pre.items()}
-
-    probs = {lid: 0.0 for lid in input.letter_ids()}
-    for y, xs in pre.items():
-        qy = q_out[y]
-        if qy <= 0.0:
-            continue
-        if isinstance(kind, ExactConditional):
-            for x in xs:
-                probs[x] += qy * (in_pmf[x] / qy)
-        elif isinstance(kind, UniformPreimage):
-            w = qy / len(xs)
-            for x in xs:
-                probs[x] += w
-        else:  # PriorWeighted
-            mass = math.fsum(kind.prior.get(x) for x in xs)
-            if mass <= 0.0:
-                raise ValueError(
-                    f"prior has zero mass on the preimage of {y!r}"
-                )
-            for x in xs:
-                probs[x] += qy * (kind.prior.get(x) / mass)
-    return Impression(input, Pmf(probs))
+    codes, out_ids = deterministic_codes(t, input)
+    ids = input.letter_ids()
+    p = input.prob_vector()
+    if isinstance(kind, ExactConditional):
+        w = p
+    elif isinstance(kind, UniformPreimage):
+        w = np.ones(len(p))
+    else:  # PriorWeighted
+        w = np.fromiter(map(kind.prior.get, ids), dtype=np.float64, count=len(ids))
+    q = np.bincount(codes, weights=p, minlength=len(out_ids))
+    mass = np.bincount(codes, weights=w, minlength=len(out_ids))
+    live = q > 0.0  # an output letter of probability 0 adds nothing
+    dead = live & (mass <= 0.0)
+    if dead.any():
+        y = out_ids[int(dead.argmax())]
+        raise ValueError(f"prior has zero mass on the preimage of {y!r}")
+    share = np.divide(w, mass[codes], out=np.zeros(len(w)), where=live[codes])
+    return Impression(input, Pmf(dict(zip(ids, (q[codes] * share).tolist()))))
 
 
 def kl_divergence(p: Pmf, q: Pmf, smooth: bool = False) -> float:

@@ -11,9 +11,10 @@ import math
 from dataclasses import dataclass, field
 from typing import Optional, Union
 
-import jsonschema
+from jsonschema import Draft202012Validator
+from jsonschema.exceptions import best_match
 
-from .alphabet import Alphabet, Enumerated, Letter, Pmf, Product, Symbolic
+from .alphabet import Alphabet, Pmf, Product, Symbolic, enumerated
 from .transform import (
     Aggregator,
     Channel,
@@ -174,6 +175,9 @@ SCHEMA = {
         },
     },
 }
+# Built once: ``jsonschema.validate`` re-checks SCHEMA against its metaschema
+# on every call; tests/test_specio.py checks it once.
+_VALIDATOR = Draft202012Validator(SCHEMA)
 
 
 class SpecError(ValueError):
@@ -219,8 +223,7 @@ class WorkflowSpec:
                 probs = m.get("probs")
                 if not probs:
                     raise SpecError("enumerated model needs probs", f"alphabets[{name}]")
-                letters = tuple(Letter(lid) for lid in probs)
-                a = Alphabet(name, Enumerated(letters, Pmf(probs)))
+                a = enumerated(name, probs)
             elif t == "symbolic":
                 e = m.get("entropy_bits")
                 if e is None:
@@ -343,10 +346,9 @@ def parse_spec(text: str) -> WorkflowSpec:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise SpecError(f"malformed JSON: {exc}")
-    try:
-        jsonschema.validate(data, SCHEMA)
-    except jsonschema.ValidationError as exc:
-        raise SpecError(exc.message, "/".join(str(p) for p in exc.absolute_path))
+    error = best_match(_VALIDATOR.iter_errors(data))
+    if error is not None:
+        raise SpecError(error.message, "/".join(str(p) for p in error.absolute_path))
     if data["schema_version"] != SCHEMA_VERSION:
         raise SpecError(f"unknown schema_version {data['schema_version']!r}")
     spec = WorkflowSpec(data)

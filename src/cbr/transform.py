@@ -18,7 +18,6 @@ from .alphabet import (
     PROB_TOL,
     Alphabet,
     Enumerated,
-    Letter,
     Pmf,
     Product,
     Symbolic,
@@ -153,40 +152,58 @@ def identity_grouping(input: Alphabet, name: str, cost: CostRecord, node_kind: s
     return Transform(name, Grouping({i: i for i in ids}), cost, node_kind)
 
 
-def deterministic_map(t: Transform, input: Alphabet) -> dict:
-    """Input-letter-id -> output-letter-id map for deterministic kinds."""
+def _first_appearance_codes(targets, n: int) -> tuple:
+    """(codes, distinct targets): targets numbered in first-appearance order."""
+    index: dict = {}
+    codes = np.fromiter(
+        (index.setdefault(y, len(index)) for y in targets), dtype=np.intp, count=n
+    )
+    return codes, tuple(index)
+
+
+def deterministic_codes(t: Transform, input: Alphabet) -> tuple:
+    """(codes, out_ids) of a deterministic step on an enumerated input.
+
+    ``codes[i]`` is the index in ``out_ids`` of the output letter that input
+    letter ``i`` maps to; ``out_ids`` lists the output letters in order of
+    first appearance along the input letters.
+    """
     k = t.kind
     if isinstance(k, Grouping):
         ids = input.letter_ids()
         missing = [i for i in ids if i not in k.mapping]
         if missing:
             raise ValueError(f"partial mapping: unmapped letters {missing[:3]}")
-        return {i: k.mapping[i] for i in ids}
+        return _first_appearance_codes(map(k.mapping.__getitem__, ids), len(ids))
     if isinstance(k, Quantizer):
         if k.boundaries is None:
             raise ValueError("mode mismatch: symbolic quantizer has no letter map")
-        b = k.boundaries
-        out = {}
-        for lid in input.letter_ids():
+        ids = input.letter_ids()
+        vals = []
+        for lid in ids:
             try:
-                v = float(lid)
+                vals.append(float(lid))
             except ValueError:
-                raise ValueError(f"partial mapping: letter {lid!r} is not numeric")
-            if v < b[0] or v > b[-1]:
-                raise ValueError(f"partial mapping: letter {lid!r} outside bin range")
-            # closed-left/open-right; last bin closed on the right
-            i = min(int(np.searchsorted(b, v, side="right")) - 1, k.levels - 1)
-            out[lid] = f"bin{i}"
-        return out
+                break
+        v = np.array(vals, dtype=np.float64)
+        b = k.boundaries
+        outside = ~((v >= b[0]) & (v <= b[-1]))  # NaN is outside too
+        if outside.any():
+            lid = ids[int(outside.argmax())]
+            raise ValueError(f"partial mapping: letter {lid!r} outside bin range")
+        if len(vals) < len(ids):
+            raise ValueError(f"partial mapping: letter {ids[len(vals)]!r} is not numeric")
+        # closed-left/open-right; last bin closed on the right
+        bins = np.minimum(np.searchsorted(b, v, side="right") - 1, k.levels - 1)
+        codes, seen = _first_appearance_codes(bins.tolist(), len(ids))
+        return codes, tuple(f"bin{i}" for i in seen)
     raise ValueError("mode mismatch: transform is not deterministic")
 
 
-def _grouped_pmf(det_map: dict, input: Alphabet) -> dict:
-    pmf = input.model.pmf
-    out: dict = {}
-    for lid, target in det_map.items():
-        out[target] = out.get(target, 0.0) + pmf[lid]
-    return out
+def deterministic_map(t: Transform, input: Alphabet) -> dict:
+    """Input-letter-id -> output-letter-id map for deterministic kinds."""
+    codes, out_ids = deterministic_codes(t, input)
+    return dict(zip(input.letter_ids(), map(out_ids.__getitem__, codes.tolist())))
 
 
 def pushforward(t: Transform, input: Alphabet, name: Optional[str] = None) -> Alphabet:
@@ -228,20 +245,15 @@ def pushforward(t: Transform, input: Alphabet, name: Optional[str] = None) -> Al
         p = np.array([input.model.pmf[i] for i in k.inputs])
         q = p @ k.as_array()
         probs = {o: float(q[j]) for j, o in enumerate(k.outputs)}
-        letters = tuple(Letter(o) for o in k.outputs)
-        return Alphabet(name, Enumerated(letters, Pmf(probs)))
+        return Alphabet(name, Enumerated(tuple(k.outputs), Pmf(probs)))
 
     # Grouping / enumerated quantizer
     if not input.is_enumerated:
         raise ValueError("mode mismatch: deterministic transform requires enumerated input")
-    det = deterministic_map(t, input)
-    probs = _grouped_pmf(det, input)
-    seen = []
-    for lid in input.letter_ids():
-        if det[lid] not in seen:
-            seen.append(det[lid])
-    letters = tuple(Letter(o) for o in seen)
-    return Alphabet(name, Enumerated(letters, Pmf(probs)))
+    codes, out_ids = deterministic_codes(t, input)
+    # bincount adds in input order, like a running sum per output letter
+    q = np.bincount(codes, weights=input.prob_vector(), minlength=len(out_ids))
+    return Alphabet(name, Enumerated(out_ids, Pmf(dict(zip(out_ids, q.tolist())))))
 
 
 def joint_distribution(t: Transform, input: Alphabet) -> tuple:
@@ -257,22 +269,19 @@ def joint_distribution(t: Transform, input: Alphabet) -> tuple:
         joint = p[:, None] * k.as_array()
         return joint, tuple(k.inputs), tuple(k.outputs)
     if isinstance(k, (Grouping, Quantizer)):
-        det = deterministic_map(t, input)
-        in_ids = input.letter_ids()
-        out_ids = []
-        for lid in in_ids:
-            if det[lid] not in out_ids:
-                out_ids.append(det[lid])
-        joint = np.zeros((len(in_ids), len(out_ids)))
-        col = {o: j for j, o in enumerate(out_ids)}
-        for i, lid in enumerate(in_ids):
-            joint[i, col[det[lid]]] = input.model.pmf[lid]
-        return joint, tuple(in_ids), tuple(out_ids)
+        codes, out_ids = deterministic_codes(t, input)
+        p = input.prob_vector()
+        joint = np.zeros((len(p), len(out_ids)))
+        joint[np.arange(len(p)), codes] = p
+        return joint, input.letter_ids(), out_ids
     raise ValueError("mode mismatch: no joint distribution for this transform kind")
 
 
 def mutual_information(t: Transform, input: Alphabet) -> float:
     """I(input; output) in bits; equals output entropy for deterministic kinds."""
+    if isinstance(t.kind, (Grouping, Quantizer)) and input.is_enumerated:
+        codes, _ = deterministic_codes(t, input)
+        return _kernels.entropy_bits(np.bincount(codes, weights=input.prob_vector()))
     joint, _, _ = joint_distribution(t, input)
     return _kernels.mi_bits(joint)
 
@@ -282,18 +291,9 @@ def _as_channel(t: Transform) -> Channel:
     if isinstance(k, Channel):
         return k
     if isinstance(k, Grouping):
-        inputs = tuple(k.mapping)
-        outputs = []
-        for i in inputs:
-            if k.mapping[i] not in outputs:
-                outputs.append(k.mapping[i])
-        col = {o: j for j, o in enumerate(outputs)}
-        rows = []
-        for i in inputs:
-            row = [0.0] * len(outputs)
-            row[col[k.mapping[i]]] = 1.0
-            rows.append(tuple(row))
-        return Channel(inputs, tuple(outputs), tuple(rows))
+        codes, outputs = _first_appearance_codes(k.mapping.values(), len(k.mapping))
+        rows = tuple(map(tuple, np.eye(len(outputs))[codes].tolist()))
+        return Channel(tuple(k.mapping), outputs, rows)
     raise ValueError("mode mismatch: cannot compose this transform kind")
 
 

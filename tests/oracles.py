@@ -66,3 +66,19 @@ def uniform_preimage_impression_oracle(mapping: dict, pmf: dict) -> dict:
         for x in xs:
             imp[x] += qy / len(xs)
     return imp
+
+
+def prior_weighted_impression_oracle(mapping: dict, pmf: dict, prior: dict) -> dict:
+    """Mixture of the prior conditioned on each preimage, weighted by q(y)."""
+    groups: dict = {}
+    for x, y in mapping.items():
+        groups.setdefault(y, []).append(x)
+    imp = {x: 0.0 for x in pmf}
+    for y, xs in groups.items():
+        qy = math.fsum(pmf[x] for x in xs)
+        if qy <= 0.0:
+            continue
+        mass = math.fsum(prior[x] for x in xs)
+        for x in xs:
+            imp[x] += qy * prior[x] / mass
+    return imp

@@ -1,34 +1,11 @@
-import os
-import subprocess
-import sys
-from pathlib import Path
-
 import numpy as np
 import pytest
 
-import cbr
 from cbr import _kernels
 from oracles import entropy_oracle, kl_oracle, mi_oracle
 
 
-def _subprocess_env(backend: str) -> dict:
-    """The current environment with ``backend`` forced and ``cbr`` importable.
-
-    The directory holding the imported ``cbr`` package goes first on
-    ``PYTHONPATH``, so the child imports the same package whether or not it
-    is installed and whatever the working directory.
-    """
-    env = dict(os.environ)
-    env["CBR_KERNEL_BACKEND"] = backend
-    src = str(Path(cbr.__file__).resolve().parent.parent)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    return env
-
-
 class TestActiveBackend:
-    def test_backend_is_known(self):
-        assert _kernels.BACKEND in ("numba", "numpy")
-
     def test_entropy(self):
         p = np.array([0.5, 0.25, 0.25])
         assert _kernels.entropy_bits(p) == pytest.approx(1.5, abs=1e-12)
@@ -36,26 +13,6 @@ class TestActiveBackend:
     def test_zero_entries_are_exact_zeros(self):
         p = np.array([1.0, 0.0, 0.0])
         assert _kernels.entropy_bits(p) == 0.0
-
-    def test_agrees_with_pure_numpy_impl(self):
-        rng = np.random.default_rng(7)
-        for _ in range(50):
-            n = int(rng.integers(2, 200))
-            p = rng.random(n)
-            p /= p.sum()
-            q = rng.random(n)
-            q /= q.sum()
-            joint = rng.random((int(rng.integers(2, 20)), int(rng.integers(2, 20))))
-            joint /= joint.sum()
-            assert _kernels.entropy_bits(p) == pytest.approx(
-                _kernels._np_entropy_bits(p), abs=1e-12
-            )
-            assert _kernels.kl_bits(p, q) == pytest.approx(
-                _kernels._np_kl_bits(p, q), abs=1e-12
-            )
-            assert _kernels.mi_bits(joint) == pytest.approx(
-                _kernels._np_mi_bits(joint), abs=1e-12
-            )
 
     def test_agrees_with_oracles(self, rng):
         n = 100
@@ -72,34 +29,3 @@ class TestActiveBackend:
         assert _kernels.mi_bits(joint) == pytest.approx(
             mi_oracle(joint.tolist()), abs=1e-12
         )
-
-
-class TestBackendSelection:
-    def _backend_of(self, env_value):
-        code = "import cbr; print(cbr.BACKEND)"
-        proc = subprocess.run(
-            [sys.executable, "-c", code],
-            capture_output=True,
-            text=True,
-            env=_subprocess_env(env_value),
-        )
-        assert proc.returncode == 0, proc.stderr
-        return proc.stdout.strip()
-
-    def test_numpy_forced(self):
-        assert self._backend_of("numpy") == "numpy"
-
-    def test_numba_forced(self):
-        pytest.importorskip("numba")
-        assert self._backend_of("numba") == "numba"
-
-    def test_bad_value_rejected(self):
-        code = "import cbr"
-        proc = subprocess.run(
-            [sys.executable, "-c", code],
-            capture_output=True,
-            text=True,
-            env=_subprocess_env("cuda"),
-        )
-        assert proc.returncode != 0
-        assert "CBR_KERNEL_BACKEND" in proc.stderr

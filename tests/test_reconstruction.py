@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from cbr.alphabet import Pmf, entropy, enumerated, symbolic, uniform
@@ -13,9 +14,14 @@ from cbr.reconstruction import (
     impression,
     kl_divergence,
 )
-from cbr.transform import CostRecord, DeclaredHuman, Transform
+from cbr.metrics import step_metrics
+from cbr.transform import CostRecord, DeclaredHuman, Transform, pushforward
 from conftest import make_grouping, random_grouping, random_pmf
-from oracles import kl_oracle, uniform_preimage_impression_oracle
+from oracles import (
+    kl_oracle,
+    prior_weighted_impression_oracle,
+    uniform_preimage_impression_oracle,
+)
 
 COST = CostRecord("time", 1.0, "s")
 
@@ -107,6 +113,44 @@ class TestImpression:
         g = Reconstruction("prior", PriorWeighted(Pmf({"0": 0.1, "1": 0.4, "2": 0.2, "3": 0.3})))
         assert distortion_bits(g, t, a) > 0.0
 
+    def test_prior_weighted_matches_oracle(self, rng):
+        for _ in range(30):
+            n = int(rng.integers(2, 32))
+            pmf = random_pmf(rng, n, sparse=True)
+            a = enumerated("a", pmf)
+            mapping = random_grouping(rng, pmf, max(1, n // 3))
+            t = make_grouping(mapping)
+            w = dict(zip(pmf, rng.random(n).tolist()))
+            for x in pmf:
+                if rng.random() < 0.3:
+                    w[x] = 0.0
+            # give each preimage with q(y) > 0 some prior mass
+            for y in set(mapping.values()):
+                xs = [x for x in pmf if mapping[x] == y]
+                if math.fsum(pmf[x] for x in xs) > 0.0 and math.fsum(w[x] for x in xs) <= 0.0:
+                    w[xs[0]] = 1.0
+            total = math.fsum(w.values())
+            prior = {x: v / total for x, v in w.items()}
+            g = Reconstruction("prior", PriorWeighted(Pmf(prior)))
+            expect = prior_weighted_impression_oracle(mapping, pmf, prior)
+            imp = impression(g, t, a)
+            for k, v in expect.items():
+                assert imp.pmf[k] == pytest.approx(v, abs=1e-9)
+
+    def test_prior_weighted_zero_mass_on_dead_preimage_is_allowed(self):
+        a = enumerated("a", {"0": 0.5, "1": 0.5, "2": 0.0, "3": 0.0})
+        t = make_grouping({"0": "lo", "1": "lo", "2": "hi", "3": "hi"})
+        g = Reconstruction("prior", PriorWeighted(Pmf({"0": 0.25, "1": 0.75, "2": 0.0, "3": 0.0})))
+        imp = impression(g, t, a)
+        assert imp.pmf.probs == pytest.approx({"0": 0.25, "1": 0.75, "2": 0.0, "3": 0.0})
+
+    def test_prior_weighted_zero_mass_on_live_preimage_rejected(self):
+        a = enumerated("a", {"0": 0.25, "1": 0.25, "2": 0.5})
+        t = make_grouping({"0": "lo", "1": "lo", "2": "hi"})
+        g = Reconstruction("prior", PriorWeighted(Pmf({"0": 0.5, "1": 0.5, "2": 0.0})))
+        with pytest.raises(ValueError, match="^prior has zero mass on the preimage of 'hi'$"):
+            impression(g, t, a)
+
     def test_declared_divergence_has_no_impression(self):
         g = Reconstruction("decl", DeclaredDivergence(2.0))
         with pytest.raises(ValueError, match="no enumerated impression available"):
@@ -151,3 +195,38 @@ class TestDistortion:
             lo = distortion_bits(exact, t, a)
             hi = distortion_bits(None, t, a, machine_centric=True)
             assert hi >= lo - 1e-9
+
+
+def _pairwise(seed: int, n: int):
+    """Random non-uniform pmf on n letters (weights + 0.01) and a pairwise grouping."""
+    w = np.random.default_rng(seed).random(n) + 0.01
+    w /= w.sum()
+    ids = [str(i) for i in range(n)]
+    probs = dict(zip(ids, w.tolist()))
+    t = make_grouping({x: f"g{i // 2}" for i, x in enumerate(ids)})
+    return enumerated("a", probs), t, probs
+
+
+class TestLosslessDistortionIsNotNegative:
+    """Rounding must not turn a zero distortion into a negative one."""
+
+    def test_exact_conditional_seed_4(self):
+        a, t, _ = _pairwise(4, 16)
+        g = Reconstruction("exact", ExactConditional())
+        d = distortion_bits(g, t, a)
+        assert 0.0 <= d <= 1e-12
+        m = step_metrics(t, g, a, pushforward(t, a))
+        assert m.pdr >= 0.0
+
+    def test_seed_sweep(self):
+        for seed in range(10):
+            for n in (16, 64, 256):
+                a, t, probs = _pairwise(seed, n)
+                y = pushforward(t, a)
+                for g in (
+                    Reconstruction("exact", ExactConditional()),
+                    Reconstruction("prior", PriorWeighted(Pmf(probs))),
+                ):
+                    d = distortion_bits(g, t, a)
+                    assert 0.0 <= d <= 1e-12, (seed, n, g.name, d)
+                    step_metrics(t, g, a, y)

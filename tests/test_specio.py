@@ -1,9 +1,11 @@
 import json
 
 import pytest
+from jsonschema import Draft202012Validator
 
 from cbr.specio import (
     FIXTURE_NAMES,
+    SCHEMA,
     Expectation,
     SpecError,
     all_fixtures,
@@ -41,6 +43,9 @@ def minimal(**overrides):
 
 
 class TestParse:
+    def test_schema_is_valid_draft_2020_12(self):
+        Draft202012Validator.check_schema(SCHEMA)
+
     def test_minimal_round_trip(self):
         spec = parse_spec(json.dumps(MINIMAL))
         again = parse_spec(emit_spec(spec))

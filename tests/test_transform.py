@@ -15,6 +15,7 @@ from cbr.transform import (
     Transform,
     compose,
     identity_grouping,
+    joint_distribution,
     mutual_information,
     pushforward,
 )
@@ -96,6 +97,12 @@ class TestPushforward:
         t = Transform("q", Quantizer(2, (0.0, 2.0, 4.0)), COST, "M")
         assert pushforward(t, a).model.pmf["bin1"] == pytest.approx(1.0)
 
+    def test_quantizer_rejects_nan_letter(self):
+        a = enumerated("vals", {"0.5": 0.25, "1.5": 0.25, "nan": 0.5})
+        t = Transform("q", Quantizer(2, (0.0, 1.0, 2.0)), COST, "M")
+        with pytest.raises(ValueError, match="partial mapping: letter 'nan' outside bin range"):
+            pushforward(t, a)
+
     def test_quantizer_symbolic_clamps_bits(self):
         series = product(symbolic("point32", 32.0), 60)
         t = Transform("plot", Quantizer(128), COST, "V")
@@ -110,6 +117,38 @@ class TestPushforward:
             t = make_grouping(random_grouping(rng, pmf, int(rng.integers(1, n + 1))))
             out = pushforward(t, a)
             assert sum(out.model.pmf.probs.values()) == pytest.approx(1.0, abs=1e-9)
+
+
+class TestOutputOrder:
+    """Output letters are listed in order of first appearance along the input."""
+
+    QUANTIZER = Transform("q", Quantizer(4, (0.0, 1.0, 2.0, 3.0, 4.0)), COST, "M")
+    VALUES = enumerated("vals", {"3.5": 0.1, "0.5": 0.2, "3.9": 0.1, "2.5": 0.3, "1.5": 0.3})
+
+    def test_grouping(self):
+        a = uniform("a", ["0", "1", "2", "3", "4"])
+        t = make_grouping({"0": "z", "1": "a", "2": "z", "3": "m", "4": "a"})
+        assert pushforward(t, a).letter_ids() == ("z", "a", "m")
+        assert joint_distribution(t, a)[2] == ("z", "a", "m")
+
+    def test_quantizer(self):
+        expect = ("bin3", "bin0", "bin2", "bin1")
+        assert pushforward(self.QUANTIZER, self.VALUES).letter_ids() == expect
+        assert joint_distribution(self.QUANTIZER, self.VALUES)[2] == expect
+
+    def test_random_groupings(self, rng):
+        for _ in range(20):
+            n = int(rng.integers(2, 64))
+            pmf = random_pmf(rng, n)
+            a = enumerated("a", pmf)
+            mapping = random_grouping(rng, pmf, int(rng.integers(1, n + 1)))
+            t = make_grouping(mapping)
+            expect = tuple(dict.fromkeys(mapping[x] for x in pmf))
+            assert pushforward(t, a).letter_ids() == expect
+            joint, in_ids, out_ids = joint_distribution(t, a)
+            assert in_ids == tuple(pmf) and out_ids == expect
+            for i, x in enumerate(in_ids):
+                assert joint[i, out_ids.index(mapping[x])] == a.model.pmf[x]
 
 
 class TestMutualInformation:
