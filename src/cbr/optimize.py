@@ -13,6 +13,8 @@ import random
 from dataclasses import dataclass, field, replace
 from typing import Optional
 
+import numpy as np
+
 from .alphabet import Alphabet, Symbolic
 from .transform import (
     Aggregator,
@@ -46,6 +48,13 @@ class Dimension:
 @dataclass(frozen=True)
 class ParamSpace:
     dimensions: tuple
+
+    def __post_init__(self):
+        seen = set()
+        for d in self.dimensions:
+            if (d.target, d.field) in seen:
+                raise ValueError(f"duplicate dimension {d.target}.{d.field}")
+            seen.add((d.target, d.field))
 
     def combination_count(self) -> int:
         return math.prod(len(d.values) for d in self.dimensions)
@@ -170,6 +179,53 @@ def _feasible(cost: float, budget: Optional[CostRecord]) -> bool:
     return budget is None or cost <= budget.amount + 1e-12
 
 
+def _is_cost_only(d: Dimension) -> bool:
+    return d.target.startswith("transform:") and d.field == "cost_amount"
+
+
+class _Evaluator:
+    """Evaluates the assignments of one space on one graph.
+
+    Benefit has no cost term, so a ``cost_amount`` dimension changes only
+    the divisor of the ratio. The graph and its benefit are built once per
+    structural sub-assignment (every other dimension); the cost-only
+    dimensions enter as candidate amounts in ``WorkflowGraph.cost_amounts``.
+    """
+
+    def __init__(self, g: WorkflowGraph, space: ParamSpace, entropy_mode: str):
+        self.g, self.entropy_mode = g, entropy_mode
+        dims = space.dimensions
+        self.structural = [i for i, d in enumerate(dims) if not _is_cost_only(d)]
+        self.cost_only = [i for i, d in enumerate(dims) if _is_cost_only(d)]
+        # dimension index -> (transform name, {value: validated amount}); a
+        # dimension naming no transform of the graph changes nothing, as in
+        # apply_assignment
+        transforms = {e.transform.name: e.transform for e in g.edges}
+        self.amounts = {}
+        for i in self.cost_only:
+            name = dims[i].target.split(":", 1)[1]
+            if name in transforms:
+                self.amounts[i] = name, {
+                    v: _apply_to_transform(transforms[name], "cost_amount", v).cost.amount
+                    for v in dims[i].values
+                }
+
+    def structure(self, assignment: dict) -> tuple:
+        """(graph, benefit interval) with the structural values applied."""
+        graph = apply_assignment(self.g, assignment)
+        return graph, graph.total_benefit(self.entropy_mode)
+
+
+def _frontier(cost: np.ndarray, benefit: np.ndarray) -> np.ndarray:
+    """Indices of the nondominated (cost, benefit) points, cost ascending:
+    sort by (cost, -benefit), then keep each point whose benefit beats
+    every point before it."""
+    order = np.lexsort((-benefit, cost))
+    benefit = benefit[order]
+    best_before = np.maximum.accumulate(np.concatenate(([-np.inf], benefit[:-1])))
+    return order[benefit > best_before]
+
+
 def exhaustive_search(
     g: WorkflowGraph,
     space: ParamSpace,
@@ -179,35 +235,82 @@ def exhaustive_search(
     objective: str = "midpoint",
     cap: int = EXHAUSTIVE_CAP,
 ) -> OptimizeResult:
-    """Evaluate every assignment; certified global argmax of the objective."""
+    """Evaluate every assignment; certified global argmax of the objective.
+
+    Arrays run over the whole space in lexicographic (C) order: one axis
+    per dimension. Each structural sub-assignment fills the cost-only axes
+    of its block with one broadcast cost array and one benefit interval.
+    """
     count = space.combination_count()
     if count > cap:
         raise ValueError(
             f"parameter space has {count} combinations, over the exhaustive cap "
             f"{cap}; use greedy_search"
         )
-    best = None
-    points = []
-    records = []
-    evaluations = 0
-    for assignment in space.assignments():
-        cost, ben, cbr = evaluate(apply_assignment(g, assignment), entropy_mode, merge)
-        evaluations += 1
-        points.append((cost, ben.midpoint))
-        records.append((assignment, cost, ben, cbr))
-        if not _feasible(cost, budget):
-            continue
-        score = _objective(cbr, objective)
-        if best is None or score > best[0] or (score == best[0] and cost < best[1]):
-            best = (score, cost, assignment, cbr)
-    if best is None:
+    ev = _Evaluator(g, space, entropy_mode)
+    dims = space.dimensions
+    shape = tuple(len(d.values) for d in dims)
+    cost_shape = tuple(shape[i] for i in ev.cost_only)
+    columns = {}
+    for axis, i in enumerate(ev.cost_only):
+        if i in ev.amounts:
+            name, by_value = ev.amounts[i]
+            column = np.array([by_value[v] for v in dims[i].values])
+            columns[name] = column.reshape(
+                [-1 if a == axis else 1 for a in range(len(cost_shape))]
+            )
+    cost = np.empty(shape)
+    block = np.empty(shape, dtype=np.intp)
+    blocks = []  # (benefit, the block's one cost when no cost dimension reaches it)
+    index = [slice(None)] * len(shape)
+    for picks in itertools.product(*(enumerate(dims[i].values) for i in ev.structural)):
+        for i, (k, _) in zip(ev.structural, picks):
+            index[i] = k
+        graph, ben = ev.structure(
+            {(dims[i].target, dims[i].field): v for i, (_, v) in zip(ev.structural, picks)}
+        )
+        at = tuple(index)
+        total = graph.cost_amounts(merge, columns)
+        cost[at] = np.broadcast_to(total, cost_shape)
+        block[at] = len(blocks)
+        blocks.append((ben, None if np.ndim(total) else total))
+
+    cost, block = cost.ravel(), block.ravel()
+    ben_lo = np.array([ben.lo for ben, _ in blocks])[block]
+    ben_hi = np.array([ben.hi for ben, _ in blocks])[block]
+    # Interval.scale and Interval.midpoint, elementwise
+    inv = 1.0 / cost
+    a, b = ben_lo * inv, ben_hi * inv
+    cbr_lo, cbr_hi = np.minimum(a, b), np.maximum(a, b)
+    score = 0.5 * (cbr_lo + cbr_hi) if objective == "midpoint" else cbr_lo
+    feasible = np.arange(cost.size)
+    if budget is not None:
+        feasible = feasible[cost <= budget.amount + 1e-12]
+    if not feasible.size:
         raise ValueError("infeasible budget")
+    # highest score, then lowest cost, then first in lexicographic order
+    best = feasible[np.lexsort((cost[feasible], -score[feasible]))[0]]
+
+    records = [
+        (assignment, c if fixed is None else fixed, ben, Interval(lo, hi))
+        for assignment, c, (ben, fixed), lo, hi in zip(
+            space.assignments(),
+            cost.tolist(),
+            map(blocks.__getitem__, block.tolist()),
+            cbr_lo.tolist(),
+            cbr_hi.tolist(),
+        )
+    ]
+    assignment, best_cost, _, best_cbr = records[best]
     return OptimizeResult(
-        best_assignment=best[2],
-        best_cbr=best[3],
-        best_cost=best[1],
-        frontier=pareto_frontier(points),
-        evaluations=evaluations,
+        best_assignment=assignment,
+        best_cbr=best_cbr,
+        best_cost=best_cost,
+        frontier=[
+            (records[i][1], records[i][2].midpoint)
+            for i in _frontier(cost, 0.5 * (ben_lo + ben_hi))
+        ],
+        evaluations=count,
         certified=True,
         records=records,
     )
@@ -227,7 +330,10 @@ def greedy_search(
     if restarts < 1:
         raise ValueError("restarts must be positive")
     rng = random.Random(_seed() if seed is None else seed)
+    ev = _Evaluator(g, space, entropy_mode)
     dims = space.dimensions
+    structural_keys = [(dims[i].target, dims[i].field) for i in ev.structural]
+    structures = {}  # structural values -> (graph, benefit)
     best = None
     points = []
     records = []
@@ -235,7 +341,16 @@ def greedy_search(
 
     def score_of(assignment):
         nonlocal evaluations
-        cost, ben, cbr = evaluate(apply_assignment(g, assignment), entropy_mode, merge)
+        key = tuple(assignment[k] for k in structural_keys)
+        if key not in structures:
+            structures[key] = ev.structure(dict(zip(structural_keys, key)))
+        graph, ben = structures[key]
+        amounts = {
+            name: by_value[assignment[(dims[i].target, "cost_amount")]]
+            for i, (name, by_value) in ev.amounts.items()
+        }
+        cost = graph.cost_amounts(merge, amounts)
+        cbr = ben.scale(1.0 / cost)
         evaluations += 1
         points.append((cost, ben.midpoint))
         records.append((assignment, cost, ben, cbr))
@@ -288,14 +403,8 @@ def pareto_frontier(points: list) -> list:
     """
     if not points:
         raise ValueError("no points")
-    ordered = sorted(points, key=lambda p: (p[0], -p[1]))
-    frontier = []
-    best_benefit = -math.inf
-    for cost, ben in ordered:
-        if ben > best_benefit:
-            frontier.append((cost, ben))
-            best_benefit = ben
-    return frontier
+    cost, benefit = np.array(points, dtype=np.float64).T
+    return [tuple(points[i]) for i in _frontier(cost, benefit)]
 
 
 def frontier_csv(result: OptimizeResult) -> str:

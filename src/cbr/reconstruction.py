@@ -6,6 +6,7 @@ output pmf, is the observer's impression of the input. Distortion is the
 KL divergence (bits) between that impression and the true input pmf.
 """
 
+import math
 from dataclasses import dataclass
 from typing import Optional, Union
 
@@ -78,6 +79,12 @@ def impression(g: Reconstruction, t: Transform, input: Alphabet) -> Impression:
     or the prior) and gives letter x the share q_out(y) w(x) / sum w over
     the preimage of y.
     """
+    v = _impression_vector(g, t, input)
+    return Impression(input, Pmf(dict(zip(input.letter_ids(), v.tolist()))))
+
+
+def _impression_vector(g: Reconstruction, t: Transform, input: Alphabet) -> np.ndarray:
+    """The impression's probabilities, aligned with ``input.letter_ids()``."""
     kind = g.kind
     if isinstance(kind, DeclaredDivergence):
         raise ValueError("no enumerated impression available")
@@ -85,13 +92,13 @@ def impression(g: Reconstruction, t: Transform, input: Alphabet) -> Impression:
         raise ValueError("mode mismatch: impression requires a deterministic transform")
 
     codes, out_ids = deterministic_codes(t, input)
-    ids = input.letter_ids()
     p = input.prob_vector()
     if isinstance(kind, ExactConditional):
         w = p
     elif isinstance(kind, UniformPreimage):
         w = np.ones(len(p))
     else:  # PriorWeighted
+        ids = input.letter_ids()
         w = np.fromiter(map(kind.prior.get, ids), dtype=np.float64, count=len(ids))
     q = np.bincount(codes, weights=p, minlength=len(out_ids))
     mass = np.bincount(codes, weights=w, minlength=len(out_ids))
@@ -101,7 +108,7 @@ def impression(g: Reconstruction, t: Transform, input: Alphabet) -> Impression:
         y = out_ids[int(dead.argmax())]
         raise ValueError(f"prior has zero mass on the preimage of {y!r}")
     share = np.divide(w, mass[codes], out=np.zeros(len(w)), where=live[codes])
-    return Impression(input, Pmf(dict(zip(ids, (q[codes] * share).tolist()))))
+    return q[codes] * share
 
 
 def kl_divergence(p: Pmf, q: Pmf, smooth: bool = False) -> float:
@@ -116,6 +123,11 @@ def kl_divergence(p: Pmf, q: Pmf, smooth: bool = False) -> float:
     keys += [k for k in p if k not in qset]
     pv = np.array([p.get(k) for k in keys], dtype=np.float64)
     qv = np.array([q.get(k) for k in keys], dtype=np.float64)
+    return _kl_vectors(pv, qv, smooth)
+
+
+def _kl_vectors(pv: np.ndarray, qv: np.ndarray, smooth: bool) -> float:
+    """``kl_divergence`` on two aligned probability vectors."""
     if np.any((pv > 0.0) & (qv <= 0.0)):
         if not smooth:
             raise ValueError("divergence undefined: p > 0 where q = 0")
@@ -145,5 +157,8 @@ def distortion_bits(
         raise ValueError("unscored edge: no reconstruction given")
     if isinstance(g.kind, DeclaredDivergence):
         return g.kind.bits
-    imp = impression(g, t, input)
-    return kl_divergence(imp.pmf, input.model.pmf, smooth=smooth)
+    v = _impression_vector(g, t, input)
+    # renormalised as impression()'s Pmf is, so the result is bit-identical
+    # to kl_divergence(impression(g, t, input).pmf, input.model.pmf)
+    v = v / math.fsum(v)
+    return _kl_vectors(v, input.prob_vector(), smooth)

@@ -188,6 +188,39 @@ class SpecError(ValueError):
         super().__init__(f"{message}{f' at {path}' if path else ''}")
 
 
+def _build_alphabet(name: str, trail: tuple, decls: dict, cache: dict) -> Alphabet:
+    """Alphabet ``name`` from its declaration, its factors first; ``cache``
+    holds those already built.
+
+    A module function, not a closure inside ``alphabets``: a recursive
+    closure refers to itself, and that cycle kept every parsed alphabet
+    alive until the next full garbage collection.
+    """
+    if name in cache:
+        return cache[name]
+    if name in trail:
+        raise SpecError("circular alphabet reference", f"alphabets[{name}]")
+    if name not in decls:
+        raise SpecError(f"dangling reference: alphabet {name!r}")
+    m = decls[name]["model"]
+    t = m["type"]
+    if t == "enumerated":
+        probs = m.get("probs")
+        if not probs:
+            raise SpecError("enumerated model needs probs", f"alphabets[{name}]")
+        a = enumerated(name, probs)
+    elif t == "symbolic":
+        e = m.get("entropy_bits")
+        if e is None:
+            raise SpecError("symbolic model needs entropy_bits", f"alphabets[{name}]")
+        a = Alphabet(name, Symbolic(e, m.get("max_entropy_bits", e)))
+    else:
+        factor = _build_alphabet(m["factor"], trail + (name,), decls, cache)
+        a = Alphabet(name, Product(factor, m["count"]))
+    cache[name] = a
+    return a
+
+
 @dataclass
 class WorkflowSpec:
     """Parsed, validated workflow spec; ``data`` is the canonical document."""
@@ -209,33 +242,7 @@ class WorkflowSpec:
     def alphabets(self) -> dict:
         cache: dict = {}
         decls = {a["name"]: a for a in self.data["alphabets"]}
-
-        def build(name: str, trail: tuple) -> Alphabet:
-            if name in cache:
-                return cache[name]
-            if name in trail:
-                raise SpecError("circular alphabet reference", f"alphabets[{name}]")
-            if name not in decls:
-                raise SpecError(f"dangling reference: alphabet {name!r}")
-            m = decls[name]["model"]
-            t = m["type"]
-            if t == "enumerated":
-                probs = m.get("probs")
-                if not probs:
-                    raise SpecError("enumerated model needs probs", f"alphabets[{name}]")
-                a = enumerated(name, probs)
-            elif t == "symbolic":
-                e = m.get("entropy_bits")
-                if e is None:
-                    raise SpecError("symbolic model needs entropy_bits", f"alphabets[{name}]")
-                a = Alphabet(name, Symbolic(e, m.get("max_entropy_bits", e)))
-            else:
-                factor = build(m["factor"], trail + (name,))
-                a = Alphabet(name, Product(factor, m["count"]))
-            cache[name] = a
-            return a
-
-        return {name: build(name, ()) for name in decls}
+        return {name: _build_alphabet(name, (), decls, cache) for name in decls}
 
     def transforms(self) -> dict:
         alphabets = self.alphabets()

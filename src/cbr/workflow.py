@@ -7,11 +7,13 @@ branches are capped by the entropy at the fork, human-involved branches
 range between the maximum and the sum of the arriving benefits.
 """
 
+import functools
 import math
 from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import networkx as nx
+import numpy as np
 
 from .alphabet import Alphabet, Enumerated, Pmf, Symbolic, entropy, max_entropy
 from .transform import CostRecord, Transform, DeclaredHuman, pushforward
@@ -221,21 +223,44 @@ class WorkflowGraph:
         return out
 
     def total_cost(self, merge: str = "sum") -> CostRecord:
+        amount = self.cost_amounts(merge)  # checks that the edges share one kind
+        return replace(self.edges[0].transform.cost, amount=amount)
+
+    def cost_amounts(self, merge: str = "sum", amounts: Optional[dict] = None):
+        """Total cost amount under ``merge``.
+
+        ``amounts`` maps a transform name to candidate amounts (a numpy
+        array) that replace its own; the totals then broadcast over them,
+        one per combination, each equal to the total for that combination.
+        """
         if merge not in ("sum", "max_parallel"):
             raise ValueError(f"unknown cost merge {merge!r}")
         kinds = {(e.transform.cost.kind, e.transform.cost.unit) for e in self.edges}
         if len(kinds) != 1:
             raise ValueError("incommensurable costs")
-        kind, unit = next(iter(kinds))
+        amounts = amounts or {}
+
+        def amount(e):
+            return amounts.get(e.transform.name, e.transform.cost.amount)
+
         if merge == "sum":
-            return CostRecord(kind, sum(e.transform.cost.amount for e in self.edges), unit)
+            # plain adds in edge order, so floats and arrays round alike (the
+            # built-in sum of floats is compensated from Python 3.12 on);
+            # integer amounts keep an integer total, as the built-in sum does
+            total = 0
+            for e in self.edges:
+                total = total + amount(e)
+            return total
         # time semantics: critical-path accumulation, maximum at each joint
         acc = {n: 0.0 for n in self.nodes}
         for n in self.topo_order():
             incoming = self.in_edges(n)
             if incoming:
-                acc[n] = max(acc[e.src] + e.transform.cost.amount for e in incoming)
-        return CostRecord(kind, acc[self.decisional], unit)
+                acc[n] = functools.reduce(
+                    np.maximum, [acc[e.src] + amount(e) for e in incoming]
+                )
+        total = acc[self.decisional]
+        return total if np.ndim(total) else float(total)  # np.maximum gives numpy scalars
 
     def total_benefit(
         self,
@@ -243,7 +268,14 @@ class WorkflowGraph:
         shared_mi_bits: float = 0.0,
     ) -> Interval:
         """Benefit interval accumulated from sources to the decisional sink."""
-        per_edge = self.edge_benefits(entropy_mode)
+        return self._accumulate_benefit(
+            self.edge_benefits(entropy_mode), entropy_mode, shared_mi_bits
+        )
+
+    def _accumulate_benefit(
+        self, per_edge: dict, entropy_mode: str, shared_mi_bits: float
+    ) -> Interval:
+        """Accumulate per-edge benefits (transform name -> bits) to the sink."""
         h = entropy if entropy_mode == "actual" else max_entropy
         acc: dict = {}
         for n in self.topo_order():
@@ -287,7 +319,11 @@ class WorkflowGraph:
     ) -> MetricsReport:
         per_edge = self.edge_metrics(entropy_mode)
         cost = self.total_cost(merge)
-        ben = self.total_benefit(entropy_mode, shared_mi_bits)
+        ben = self._accumulate_benefit(
+            {name: m.benefit_bits for name, m in per_edge.items()},
+            entropy_mode,
+            shared_mi_bits,
+        )
         overall = OverallMetrics(cost, ben, ben.scale(1.0 / cost.amount))
         notes = []
         if entropy_mode == "maximal":

@@ -1,3 +1,4 @@
+import os
 import sys
 from pathlib import Path
 
@@ -6,8 +7,15 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
+import cbr
 from cbr.alphabet import enumerated
 from cbr.transform import CostRecord, Grouping, Transform
+
+# `python -m cbr.cli` subprocesses import the same cbr as this session.
+_SRC = str(Path(cbr.__file__).resolve().parents[1])
+_PATH = os.environ.get("PYTHONPATH", "")
+if _PATH.split(os.pathsep)[0] != _SRC:
+    os.environ["PYTHONPATH"] = os.pathsep.join(p for p in (_SRC, _PATH) if p)
 
 
 def random_pmf(rng: np.random.Generator, n: int, sparse: bool = False) -> dict:

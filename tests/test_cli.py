@@ -125,6 +125,18 @@ class TestOptimize:
         assert main(["optimize", tunable_file, "--budget", "0.1"]) == 1
         assert "infeasible budget" in capsys.readouterr().err
 
+    def test_duplicate_dimension(self, tunable_file, capsys):
+        with open(tunable_file) as fh:
+            data = json.load(fh)
+        dims = data["param_space"]["dimensions"]
+        dims.append({"target": "transform:zoom", "field": "cost_amount", "values": [3.0, 4.0]})
+        with open(tunable_file, "w") as fh:
+            json.dump(data, fh)
+        assert main(["optimize", tunable_file]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: duplicate dimension transform:zoom.cost_amount\n"
+
 
 class TestReport:
     def test_dot(self, spec_file, capsys):

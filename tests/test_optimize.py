@@ -1,4 +1,7 @@
 import itertools
+import math
+import random
+from dataclasses import replace
 
 import pytest
 
@@ -13,6 +16,7 @@ from cbr.optimize import (
     greedy_search,
     pareto_frontier,
 )
+from cbr.specio import fixture_share_price
 from cbr.transform import CostRecord, DeclaredHuman, Quantizer, Transform
 from cbr.workflow import Edge, WorkflowGraph
 
@@ -85,6 +89,11 @@ class TestDimension:
     def test_unknown_scope_rejected(self):
         with pytest.raises(ValueError, match="target"):
             Dimension("node:t0", "cost_amount", (1.0,))
+
+    def test_duplicate_rejected(self):
+        dim = Dimension("transform:plot", "cost_amount", (1.0, 2.0))
+        with pytest.raises(ValueError, match=r"^duplicate dimension transform:plot\.cost_amount$"):
+            ParamSpace((dim, Dimension("transform:t0", "cost_amount", (1.0,)), dim))
 
     def test_combination_count(self):
         assert chain_space().combination_count() == 12
@@ -241,3 +250,171 @@ class TestPareto:
         lines = csv.strip().splitlines()
         assert lines[0] == "assignment,cost,benefit_lo,benefit_hi,cbr_mid"
         assert len(lines) == len(result.frontier) + 1
+
+
+# -- the searches against a plain loop of evaluate(apply_assignment(...)) ------
+
+
+def brute_force(g, space, budget, entropy_mode, merge, objective):
+    """Records, best record and frontier by one evaluation per assignment."""
+    records = []
+    for assignment in space.assignments():
+        cost, ben, cbr = evaluate(apply_assignment(g, assignment), entropy_mode, merge)
+        records.append((assignment, cost, ben, cbr))
+    best = None
+    for record in records:
+        _, cost, _, cbr = record
+        if budget is not None and cost > budget.amount + 1e-12:
+            continue
+        score = cbr.midpoint if objective == "midpoint" else cbr.lo
+        if best is None or score > best[0] or (score == best[0] and cost < best[1][1]):
+            best = (score, record)
+    if best is None:
+        raise ValueError("infeasible budget")
+    return records, best[1], brute_force_frontier(records)
+
+
+def brute_force_frontier(records):
+    """Sort by (cost, -benefit midpoint), keep each point that raises the best benefit."""
+    frontier = []
+    for cost, ben in sorted(((c, b.midpoint) for _, c, b, _ in records), key=lambda p: (p[0], -p[1])):
+        if not frontier or ben > frontier[-1][1]:
+            frontier.append((cost, ben))
+    return frontier
+
+
+def tunable_fields(g):
+    """(target, field, candidate values) for every dimension the graph takes.
+
+    Candidate sets are small, so random spaces tie in cost and in score.
+    """
+    out = []
+    for e in g.edges:
+        t = e.transform
+        out.append((f"transform:{t.name}", "cost_amount", (1.0, 2.0, 3.0)))
+        if isinstance(t.kind, DeclaredHuman):
+            out.append((f"transform:{t.name}", "declared_distortion_bits", (0.0, 1.0, 4.0)))
+        if isinstance(t.kind, Quantizer):
+            out.append((f"transform:{t.name}", "bins", (16, 64, 128)))
+    return out
+
+
+PROPERTY_GRAPHS = {
+    "chain": chain_graph,
+    # benefit 0 unless a space lowers a distortion: every cost ties in score
+    "chain_zero_benefit": lambda: apply_assignment(
+        chain_graph(),
+        {
+            ("transform:t0", "declared_distortion_bits"): 4.0,
+            ("transform:t1", "declared_distortion_bits"): 4.0,
+        },
+    ),
+    "plateau": plateau_graph,
+    "share_price_r1": lambda: fixture_share_price(1).build_graph(),
+}
+
+
+def random_space(rng, g):
+    """One to three value dimensions, and an edge switch in one space of four
+    (most switched-off edges leave an invalid graph, which both must reject)."""
+    fields = tunable_fields(g)
+    dims = [
+        Dimension(target, field_name, tuple(rng.sample(values, rng.randint(1, len(values)))))
+        for target, field_name, values in rng.sample(fields, rng.randint(1, 3))
+    ]
+    if rng.random() < 0.25:
+        target = rng.choice([f"edge:{e.src}->{e.dst}" for e in g.edges])
+        dims.append(Dimension(target, "enabled", rng.choice([(True, False), (False, True)])))
+    return ParamSpace(tuple(dims))
+
+
+def outcome(search, *args, **kwargs):
+    try:
+        return search(*args, **kwargs), None
+    except ValueError as exc:
+        return None, str(exc)
+
+
+class TestAgainstBruteForce:
+    @pytest.mark.parametrize("graph_name", sorted(PROPERTY_GRAPHS))
+    def test_random_spaces(self, graph_name):
+        rng = random.Random(f"separable-{graph_name}")
+        g = PROPERTY_GRAPHS[graph_name]()
+        base = g.total_cost()
+        compared = 0
+        for case in range(150):
+            space = random_space(rng, g)
+            merge = rng.choice(["sum", "max_parallel"])
+            objective = rng.choice(["midpoint", "lo"])
+            mode = rng.choice(["actual", "maximal"])
+            budget = rng.choice([None, replace(base, amount=base.amount * rng.choice([0.5, 0.8, 1.2]))])
+            expected, error = outcome(brute_force, g, space, budget, mode, merge, objective)
+            got, got_error = outcome(
+                exhaustive_search, g, space, budget=budget, entropy_mode=mode,
+                merge=merge, objective=objective,
+            )
+            assert got_error == error, (case, space)
+            if error is not None:
+                continue
+            compared += 1
+            records, best, frontier = expected
+            assert got.records == records
+            assert got.best_assignment == best[0]
+            assert got.best_cost == best[1]
+            assert got.best_cbr == best[3]
+            assert got.frontier == frontier
+            assert got.evaluations == space.combination_count() == len(records)
+
+            greedy, greedy_error = outcome(
+                greedy_search, g, space, budget=budget, restarts=2, entropy_mode=mode,
+                merge=merge, objective=objective, seed=case,
+            )
+            if greedy_error is not None:
+                assert greedy_error == "infeasible budget"
+                continue
+            scores = []
+            for assignment, cost, ben, cbr in greedy.records:
+                assert (cost, ben, cbr) == evaluate(apply_assignment(g, assignment), mode, merge)
+                if budget is None or cost <= budget.amount + 1e-12:
+                    scores.append(cbr.midpoint if objective == "midpoint" else cbr.lo)
+            best_score = greedy.best_cbr.midpoint if objective == "midpoint" else greedy.best_cbr.lo
+            assert best_score == max(scores)
+            assert any(
+                r[0] == greedy.best_assignment and r[1] == greedy.best_cost and r[3] == greedy.best_cbr
+                for r in greedy.records
+            )
+            assert greedy.frontier == brute_force_frontier(greedy.records)
+        assert compared >= 60
+
+    def test_large_cost_only_space(self):
+        """10^5 cost-only combinations: the best is the cheapest assignment."""
+        spec = fixture_share_price(1)
+        g = spec.build_graph()
+        base = {e.transform.name: float(e.transform.cost.amount) for e in g.edges}
+        swept = ["aggregate", "plot", "recognize", "correlate", "decide_corr"]
+        values = [tuple(0.5 + 0.25 * k + 0.01 * i for k in range(10)) for i in range(len(swept))]
+        space = ParamSpace(
+            tuple(Dimension(f"transform:{t}", "cost_amount", v) for t, v in zip(swept, values))
+        )
+        result = exhaustive_search(g, space, entropy_mode="maximal")
+        ben = g.total_benefit("maximal")
+
+        def closed_form_cost(assignment):
+            costs = dict(base)
+            for (target, _), value in assignment.items():
+                costs[target.split(":", 1)[1]] = value
+            return math.fsum(costs.values())
+
+        cheapest = {(f"transform:{t}", "cost_amount"): min(v) for t, v in zip(swept, values)}
+        cost = closed_form_cost(cheapest)
+        assert result.evaluations == len(result.records) == 10**5
+        assert result.best_assignment == cheapest
+        assert result.best_cost == pytest.approx(cost, rel=1e-12)
+        assert result.best_cbr.lo == pytest.approx(ben.lo / cost, rel=1e-12)
+        assert result.best_cbr.hi == pytest.approx(ben.hi / cost, rel=1e-12)
+        assert result.frontier == [(result.best_cost, ben.midpoint)]
+        assert all(
+            math.isclose(c, closed_form_cost(a), rel_tol=1e-12) and b == ben
+            for a, c, b, _ in result.records
+        )
+
