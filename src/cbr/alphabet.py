@@ -12,7 +12,7 @@ All entropies are base-2 (bits).
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Mapping, NoReturn, Optional, Union
 
 import numpy as np
@@ -89,17 +89,26 @@ class Pmf:
 
 @dataclass(frozen=True)
 class Enumerated:
-    """An explicit letter set: letter ids in order, and their pmf."""
+    """An explicit letter set: letter ids in order, and their pmf.
+
+    ``vector`` holds the probabilities aligned with ``ids``, built once
+    here and read-only.
+    """
 
     ids: tuple
     pmf: Pmf
+    vector: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         ids = set(self.ids)
         if len(ids) != len(self.ids):
             raise ValueError("duplicate letter ids")
-        if ids != self.pmf._probs.keys():
+        probs = self.pmf._probs
+        if ids != probs.keys():
             raise ValueError("pmf support does not match letter set")
+        v = np.fromiter(map(probs.__getitem__, self.ids), dtype=np.float64, count=len(self.ids))
+        v.setflags(write=False)
+        object.__setattr__(self, "vector", v)
 
 
 @dataclass(frozen=True)
@@ -144,12 +153,11 @@ class Alphabet:
         return self.model.ids
 
     def prob_vector(self) -> np.ndarray:
-        """Probabilities aligned with ``letter_ids()`` order."""
+        """Probabilities aligned with ``letter_ids()`` order (read-only)."""
         m = self.model
         if not isinstance(m, Enumerated):
             raise ValueError("mode mismatch: alphabet is not enumerated")
-        probs = m.pmf._probs
-        return np.fromiter(map(probs.__getitem__, m.ids), dtype=np.float64, count=len(m.ids))
+        return m.vector
 
 
 def enumerated(name: str, probs: Mapping[str, float]) -> Alphabet:

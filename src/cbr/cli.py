@@ -4,6 +4,7 @@ Exit codes: 0 success, 1 validation or analysis error, 2 usage error.
 """
 
 import argparse
+import functools
 import json
 import sys
 
@@ -194,9 +195,14 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser of ``main``, built on its first call and then reused."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except (SpecError, ValueError) as exc:

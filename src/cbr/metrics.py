@@ -85,14 +85,21 @@ def step_metrics(
     h_in = h(input)
     h_out = h(output)
     d = distortion_bits(g, t, input, machine_centric=machine_centric)
+    return _step_metrics(h_in, h_out, d, t.cost, entropy_mode)
+
+
+def _step_metrics(
+    h_in: float, h_out: float, d: float, cost: CostRecord, entropy_mode: str
+) -> StepMetrics:
+    """``step_metrics`` from one edge's H(in), H(out) and D_KL."""
     b = benefit(h_in, h_out, d)
     return StepMetrics(
         acr=alphabet_compression_ratio(h_in, h_out),
         pdr=potential_distortion_ratio(d, h_in),
         ecr=effectual_compression_ratio(h_in, h_out, d),
         benefit_bits=b,
-        cost=t.cost,
-        incremental_cbr=incremental_cbr(b, t.cost),
+        cost=cost,
+        incremental_cbr=incremental_cbr(b, cost),
         entropy_mode=entropy_mode,
     )
 

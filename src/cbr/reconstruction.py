@@ -79,19 +79,25 @@ def impression(g: Reconstruction, t: Transform, input: Alphabet) -> Impression:
     or the prior) and gives letter x the share q_out(y) w(x) / sum w over
     the preimage of y.
     """
-    v = _impression_vector(g, t, input)
+    v = _impression_vector(g, t, input, None)
     return Impression(input, Pmf(dict(zip(input.letter_ids(), v.tolist()))))
 
 
-def _impression_vector(g: Reconstruction, t: Transform, input: Alphabet) -> np.ndarray:
-    """The impression's probabilities, aligned with ``input.letter_ids()``."""
+def _impression_vector(
+    g: Reconstruction, t: Transform, input: Alphabet, compiled: Optional[tuple]
+) -> np.ndarray:
+    """The impression's probabilities, aligned with ``input.letter_ids()``.
+
+    ``compiled`` is ``deterministic_codes(t, input)``, or None to compute
+    it here.
+    """
     kind = g.kind
     if isinstance(kind, DeclaredDivergence):
         raise ValueError("no enumerated impression available")
     if not isinstance(t.kind, (Grouping, Quantizer)):
         raise ValueError("mode mismatch: impression requires a deterministic transform")
 
-    codes, out_ids = deterministic_codes(t, input)
+    codes, out_ids = compiled or deterministic_codes(t, input)
     p = input.prob_vector()
     if isinstance(kind, ExactConditional):
         w = p
@@ -151,13 +157,25 @@ def distortion_bits(
     """
     if machine_centric:
         return entropy(input) - mutual_information(t, input)
+    return _distortion(g, t, input, None, smooth)
+
+
+def _distortion(
+    g: Optional[Reconstruction],
+    t: Transform,
+    input: Alphabet,
+    compiled: Optional[tuple],
+    smooth: bool = False,
+) -> float:
+    """``distortion_bits`` of a reconstruction; ``compiled`` as in
+    ``_impression_vector``."""
     if g is None:
         if isinstance(t.kind, DeclaredHuman):
             return t.kind.declared_distortion_bits
         raise ValueError("unscored edge: no reconstruction given")
     if isinstance(g.kind, DeclaredDivergence):
         return g.kind.bits
-    v = _impression_vector(g, t, input)
+    v = _impression_vector(g, t, input, compiled)
     # renormalised as impression()'s Pmf is, so the result is bit-identical
     # to kl_divergence(impression(g, t, input).pmf, input.model.pmf)
     v = v / math.fsum(v)

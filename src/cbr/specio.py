@@ -223,9 +223,14 @@ def _build_alphabet(name: str, trail: tuple, decls: dict, cache: dict) -> Alphab
 
 @dataclass
 class WorkflowSpec:
-    """Parsed, validated workflow spec; ``data`` is the canonical document."""
+    """Parsed, validated workflow spec; ``data`` is the canonical document.
+
+    ``parse_spec`` keeps the graph it validated, and ``build_graph`` returns
+    it; a spec constructed directly builds its graph on each call.
+    """
 
     data: dict
+    _graph: Optional[WorkflowGraph] = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def schema_version(self) -> str:
@@ -245,7 +250,9 @@ class WorkflowSpec:
         return {name: _build_alphabet(name, (), decls, cache) for name in decls}
 
     def transforms(self) -> dict:
-        alphabets = self.alphabets()
+        return self._transforms(self.alphabets())
+
+    def _transforms(self, alphabets: dict) -> dict:
         out = {}
         for i, td in enumerate(self.data["transforms"]):
             kd = td["kind"]
@@ -297,8 +304,10 @@ class WorkflowSpec:
         return out
 
     def build_graph(self) -> WorkflowGraph:
+        if self._graph is not None:
+            return self._graph
         alphabets = self.alphabets()
-        transforms = self.transforms()
+        transforms = self._transforms(alphabets)
         recons = self.reconstructions()
         edges = []
         for i, ed in enumerate(self.data["graph"]["edges"]):
@@ -359,8 +368,27 @@ def parse_spec(text: str) -> WorkflowSpec:
     if data["schema_version"] != SCHEMA_VERSION:
         raise SpecError(f"unknown schema_version {data['schema_version']!r}")
     spec = WorkflowSpec(data)
-    spec.build_graph()  # surfaces dangling references and invariant violations
+    # surfaces dangling references and invariant violations
+    spec._graph = graph = spec.build_graph()
+    space = spec.param_space()  # a bad dimension raises its own ValueError
+    if space is not None:
+        _check_targets(space, graph)
     return spec
+
+
+def _check_targets(space: ParamSpace, graph: WorkflowGraph) -> None:
+    """Every dimension names a transform, reconstruction or edge of the graph."""
+    names = {
+        "transform": {e.transform.name for e in graph.edges},
+        "reconstruction": {e.reconstruction.name for e in graph.edges if e.reconstruction},
+        "edge": {f"{e.src}->{e.dst}" for e in graph.edges},
+    }
+    for i, d in enumerate(space.dimensions):
+        scope, name = d.target.split(":", 1)
+        if name not in names[scope]:
+            raise SpecError(
+                f"dangling reference: {scope} {name!r}", f"param_space.dimensions[{i}].target"
+            )
 
 
 def emit_spec(spec: WorkflowSpec) -> str:
@@ -448,19 +476,9 @@ def _as_printed_cbr(graph: WorkflowGraph, nodes: list, entropy_mode: str) -> flo
     This disagrees with the benefit/cost form of the incremental ratio; it
     is reported as an as-printed variant, not reconciled.
     """
-    from .alphabet import entropy as h_actual, max_entropy as h_max
-    from .reconstruction import distortion_bits
-
-    h = h_actual if entropy_mode == "actual" else h_max
     total = 0.0
-    for src, dst in zip(nodes, nodes[1:]):
-        for e in graph.edges:
-            if e.src == src and e.dst == dst:
-                d = distortion_bits(e.reconstruction, e.transform, graph.nodes[src])
-                total += (h(graph.nodes[dst]) + d) / e.transform.cost.amount
-                break
-        else:
-            raise ValueError(f"no edge {src}->{dst}")
+    for e, _, h_out, d in graph.path_terms(nodes, entropy_mode):
+        total += (h_out + d) / e.transform.cost.amount
     return total
 
 

@@ -152,13 +152,22 @@ def identity_grouping(input: Alphabet, name: str, cost: CostRecord, node_kind: s
     return Transform(name, Grouping({i: i for i in ids}), cost, node_kind)
 
 
-def _first_appearance_codes(targets, n: int) -> tuple:
+def _first_appearance_codes(targets: tuple) -> tuple:
     """(codes, distinct targets): targets numbered in first-appearance order."""
-    index: dict = {}
-    codes = np.fromiter(
-        (index.setdefault(y, len(index)) for y in targets), dtype=np.intp, count=n
-    )
+    index = {y: i for i, y in enumerate(dict.fromkeys(targets))}
+    codes = np.fromiter(map(index.__getitem__, targets), dtype=np.intp, count=len(targets))
     return codes, tuple(index)
+
+
+def _numeric_prefix(ids: tuple) -> np.ndarray:
+    """The letters before the first non-numeric one, as floats."""
+    vals = []
+    for lid in ids:
+        try:
+            vals.append(float(lid))
+        except ValueError:
+            break
+    return np.array(vals, dtype=np.float64)
 
 
 def deterministic_codes(t: Transform, input: Alphabet) -> tuple:
@@ -171,33 +180,43 @@ def deterministic_codes(t: Transform, input: Alphabet) -> tuple:
     k = t.kind
     if isinstance(k, Grouping):
         ids = input.letter_ids()
-        missing = [i for i in ids if i not in k.mapping]
-        if missing:
-            raise ValueError(f"partial mapping: unmapped letters {missing[:3]}")
-        return _first_appearance_codes(map(k.mapping.__getitem__, ids), len(ids))
+        try:
+            targets = tuple(map(k.mapping.__getitem__, ids))
+        except KeyError:
+            missing = [i for i in ids if i not in k.mapping]
+            raise ValueError(f"partial mapping: unmapped letters {missing[:3]}") from None
+        return _first_appearance_codes(targets)
     if isinstance(k, Quantizer):
         if k.boundaries is None:
             raise ValueError("mode mismatch: symbolic quantizer has no letter map")
         ids = input.letter_ids()
-        vals = []
-        for lid in ids:
-            try:
-                vals.append(float(lid))
-            except ValueError:
-                break
-        v = np.array(vals, dtype=np.float64)
+        try:
+            v = np.fromiter(map(float, ids), dtype=np.float64, count=len(ids))
+        except ValueError:
+            v = _numeric_prefix(ids)
         b = k.boundaries
         outside = ~((v >= b[0]) & (v <= b[-1]))  # NaN is outside too
         if outside.any():
             lid = ids[int(outside.argmax())]
             raise ValueError(f"partial mapping: letter {lid!r} outside bin range")
-        if len(vals) < len(ids):
-            raise ValueError(f"partial mapping: letter {ids[len(vals)]!r} is not numeric")
+        if len(v) < len(ids):
+            raise ValueError(f"partial mapping: letter {ids[len(v)]!r} is not numeric")
         # closed-left/open-right; last bin closed on the right
         bins = np.minimum(np.searchsorted(b, v, side="right") - 1, k.levels - 1)
-        codes, seen = _first_appearance_codes(bins.tolist(), len(ids))
+        codes, seen = _first_appearance_codes(tuple(bins.tolist()))
         return codes, tuple(f"bin{i}" for i in seen)
     raise ValueError("mode mismatch: transform is not deterministic")
+
+
+def _compile(t: Transform, input: Alphabet) -> Optional[tuple]:
+    """``deterministic_codes`` of a step that ``pushforward`` maps letter by
+    letter (a grouping or an enumerated quantizer), else None."""
+    k = t.kind
+    if isinstance(k, Grouping) or (isinstance(k, Quantizer) and k.boundaries is not None):
+        if not input.is_enumerated:
+            raise ValueError("mode mismatch: deterministic transform requires enumerated input")
+        return deterministic_codes(t, input)
+    return None
 
 
 def deterministic_map(t: Transform, input: Alphabet) -> dict:
@@ -208,8 +227,21 @@ def deterministic_map(t: Transform, input: Alphabet) -> dict:
 
 def pushforward(t: Transform, input: Alphabet, name: Optional[str] = None) -> Alphabet:
     """Image alphabet of ``input`` under ``t``."""
+    return _pushforward(t, input, _compile(t, input), name)
+
+
+def _pushforward(
+    t: Transform, input: Alphabet, compiled: Optional[tuple], name: Optional[str] = None
+) -> Alphabet:
+    """``pushforward`` given ``_compile(t, input)``."""
     k = t.kind
     name = name or f"{t.name}({input.name})"
+
+    if compiled is not None:
+        codes, out_ids = compiled
+        # bincount adds in input order, like a running sum per output letter
+        q = np.bincount(codes, weights=input.prob_vector(), minlength=len(out_ids))
+        return Alphabet(name, Enumerated(out_ids, Pmf(dict(zip(out_ids, q.tolist())))))
 
     if isinstance(k, DeclaredHuman):
         return k.output
@@ -247,13 +279,7 @@ def pushforward(t: Transform, input: Alphabet, name: Optional[str] = None) -> Al
         probs = {o: float(q[j]) for j, o in enumerate(k.outputs)}
         return Alphabet(name, Enumerated(tuple(k.outputs), Pmf(probs)))
 
-    # Grouping / enumerated quantizer
-    if not input.is_enumerated:
-        raise ValueError("mode mismatch: deterministic transform requires enumerated input")
-    codes, out_ids = deterministic_codes(t, input)
-    # bincount adds in input order, like a running sum per output letter
-    q = np.bincount(codes, weights=input.prob_vector(), minlength=len(out_ids))
-    return Alphabet(name, Enumerated(out_ids, Pmf(dict(zip(out_ids, q.tolist())))))
+    raise ValueError("mode mismatch: transform is not deterministic")
 
 
 def joint_distribution(t: Transform, input: Alphabet) -> tuple:
@@ -291,7 +317,7 @@ def _as_channel(t: Transform) -> Channel:
     if isinstance(k, Channel):
         return k
     if isinstance(k, Grouping):
-        codes, outputs = _first_appearance_codes(k.mapping.values(), len(k.mapping))
+        codes, outputs = _first_appearance_codes(tuple(k.mapping.values()))
         rows = tuple(map(tuple, np.eye(len(outputs))[codes].tolist()))
         return Channel(tuple(k.mapping), outputs, rows)
     raise ValueError("mode mismatch: cannot compose this transform kind")

@@ -8,17 +8,16 @@ range between the maximum and the sum of the arriving benefits.
 """
 
 import functools
-import math
 from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import networkx as nx
 import numpy as np
 
-from .alphabet import Alphabet, Enumerated, Pmf, Symbolic, entropy, max_entropy
-from .transform import CostRecord, Transform, DeclaredHuman, pushforward
-from .reconstruction import Reconstruction
-from .metrics import StepMetrics, step_metrics
+from .alphabet import Alphabet, entropy, max_entropy
+from .transform import CostRecord, Transform, DeclaredHuman, _compile, _pushforward
+from .reconstruction import Reconstruction, _distortion
+from .metrics import ENTROPY_MODES, _step_metrics, benefit
 
 ENTROPY_TOL = 1e-9
 
@@ -94,19 +93,33 @@ def _alphabets_close(a: Alphabet, b: Alphabet) -> bool:
     if a.is_enumerated != b.is_enumerated:
         return False
     if a.is_enumerated:
-        if set(a.letter_ids()) != set(b.letter_ids()):
-            return False
-        return all(
-            abs(a.model.pmf[i] - b.model.pmf[i]) <= 1e-9 for i in a.letter_ids()
-        )
+        ids_a, ids_b = a.letter_ids(), b.letter_ids()
+        pb = b.prob_vector()
+        if ids_a != ids_b:
+            if len(ids_a) != len(ids_b) or set(ids_a) != set(ids_b):
+                return False
+            index = {lid: j for j, lid in enumerate(ids_b)}
+            pb = pb[np.fromiter(map(index.__getitem__, ids_a), dtype=np.intp, count=len(ids_a))]
+        return bool(np.all(np.abs(a.prob_vector() - pb) <= 1e-9))
     return (
         abs(entropy(a) - entropy(b)) <= 1e-6
         and abs(max_entropy(a) - max_entropy(b)) <= 1e-6
     )
 
 
+def _check_scored(e: Edge) -> None:
+    if e.reconstruction is None and not isinstance(e.transform.kind, DeclaredHuman):
+        raise ValueError(f"unscored edge: {e.transform.name}")
+
+
 class WorkflowGraph:
-    """Validated DAG with exactly one decisional sink alphabet."""
+    """Validated DAG with exactly one decisional sink alphabet.
+
+    The structure (topological order, in- and out-edges, each joint's fork)
+    and each deterministic edge's letter codes are computed once, here.
+    Each edge's H(in), H(out) and D_KL are computed once per entropy mode,
+    when first needed.
+    """
 
     def __init__(
         self,
@@ -121,24 +134,35 @@ class WorkflowGraph:
         self.class_tag = class_tag
         self.level_tag = level_tag
 
-        g = nx.DiGraph()
-        g.add_nodes_from(self.nodes)
+        # one edge per (src, dst) pair in the adjacency, the last one given,
+        # in the place of the first, as a networkx DiGraph keeps them
+        succ: dict = {n: {} for n in self.nodes}
+        pred: dict = {n: {} for n in self.nodes}
         for e in self.edges:
             if e.src not in self.nodes or e.dst not in self.nodes:
                 raise ValueError(f"dangling reference: edge {e.src}->{e.dst}")
-            g.add_edge(e.src, e.dst, edge=e)
+            succ[e.src][e.dst] = e
+            pred[e.dst][e.src] = e
+        # networkx sees node names only, and is not kept
+        g = nx.DiGraph()
+        g.add_nodes_from(self.nodes)
+        g.add_edges_from((e.src, e.dst) for e in self.edges)
         if not nx.is_directed_acyclic_graph(g):
             raise ValueError("workflow graph must be acyclic")
-        self._g = g
 
-        for e in self.edges:
-            out = pushforward(e.transform, self.nodes[e.src])
+        self._compiled = {}  # edge index -> (codes, out_ids) of a deterministic edge
+        for i, e in enumerate(self.edges):
+            src = self.nodes[e.src]
+            compiled = _compile(e.transform, src)
+            if compiled is not None:
+                self._compiled[i] = compiled
+            out = _pushforward(e.transform, src, compiled)
             if not _alphabets_close(out, self.nodes[e.dst]):
                 raise ValueError(
                     f"edge {e.transform.name}: pushforward does not match node {e.dst}"
                 )
 
-        sinks = [n for n in g.nodes if g.out_degree(n) == 0]
+        sinks = [n for n in self.nodes if not succ[n]]
         if decisional is None:
             if len(sinks) != 1:
                 raise ValueError("exactly one decisional sink required")
@@ -149,20 +173,47 @@ class WorkflowGraph:
             raise ValueError("exactly one decisional sink required")
         self.decisional = decisional
 
+        self._order = tuple(nx.topological_sort(g))
+        self._in = {n: tuple(pred[n].values()) for n in self.nodes}
+        self._out = {n: tuple(succ[n].values()) for n in self.nodes}
+        # joint -> (fork, node kinds of the edges between fork and joint), or
+        # None when the arriving branches share no ancestor
+        rank = {n: i for i, n in enumerate(self._order)}
+        self._joints = {}
+        for n in self.nodes:
+            if len(pred[n]) < 2:
+                continue
+            common = set.intersection(*(nx.ancestors(g, s) | {s} for s in pred[n]))
+            if not common:
+                self._joints[n] = None
+                continue
+            fork = max(common, key=rank.__getitem__)
+            between = (nx.descendants(g, fork) | {fork}) & (nx.ancestors(g, n) | {n})
+            kinds = frozenset(
+                e.transform.node_kind
+                for e in self.edges
+                if e.src in between and e.dst in between
+            )
+            self._joints[n] = fork, kinds
+        self._hops: dict = {}  # (src, dst) -> index of the first such edge
+        for i, e in enumerate(self.edges):
+            self._hops.setdefault((e.src, e.dst), i)
+        self._terms_cache: dict = {}
+
     # -- structure helpers ------------------------------------------------
 
     def topo_order(self) -> list:
-        return list(nx.topological_sort(self._g))
+        return list(self._order)
 
     def in_edges(self, node: str) -> list:
-        return [d["edge"] for _, _, d in self._g.in_edges(node, data=True)]
+        return list(self._in[node])
 
     def is_chain(self) -> bool:
-        if len(self.nodes) > 1 and not nx.is_weakly_connected(self._g):
+        """One path: no node has two in- or out-edges, and (acyclic as the
+        graph is) exactly one node has none in, so it is connected."""
+        if any(len(self._in[n]) > 1 or len(self._out[n]) > 1 for n in self.nodes):
             return False
-        return all(
-            self._g.out_degree(n) <= 1 and self._g.in_degree(n) <= 1 for n in self._g.nodes
-        )
+        return len(self.nodes) <= 1 or sum(not self._in[n] for n in self.nodes) == 1
 
     def edge_by_transform(self, name: str) -> Edge:
         for e in self.edges:
@@ -170,25 +221,27 @@ class WorkflowGraph:
                 return e
         raise KeyError(name)
 
-    def _fork_of(self, joint: str) -> str:
-        """Latest common ancestor of all branches arriving at ``joint``."""
-        srcs = [e.src for e in self.in_edges(joint)]
-        common = None
-        for s in srcs:
-            anc = nx.ancestors(self._g, s) | {s}
-            common = anc if common is None else common & anc
-        if not common:
+    def _fork_of(self, joint: str) -> tuple:
+        """(latest common ancestor of the branches arriving at ``joint``,
+        node kinds of the edges between it and ``joint``)."""
+        fork = self._joints[joint]
+        if fork is None:
             raise ValueError(f"no common branch point for joint {joint}")
-        order = {n: i for i, n in enumerate(self.topo_order())}
-        return max(common, key=lambda n: order[n])
-
-    def _branch_edges(self, fork: str, joint: str) -> list:
-        between = (nx.descendants(self._g, fork) | {fork}) & (
-            nx.ancestors(self._g, joint) | {joint}
-        )
-        return [e for e in self.edges if e.src in between and e.dst in between]
+        return fork
 
     # -- analysis ---------------------------------------------------------
+
+    def _terms(self, i: int, entropy_mode: str) -> tuple:
+        """(H(in), H(out), D_KL) of edge ``i``, computed once per entropy mode."""
+        key = (i, entropy_mode == "actual")
+        terms = self._terms_cache.get(key)
+        if terms is None:
+            e = self.edges[i]
+            h = entropy if key[1] else max_entropy
+            src = self.nodes[e.src]
+            d = _distortion(e.reconstruction, e.transform, src, self._compiled.get(i))
+            terms = self._terms_cache[key] = h(src), h(self.nodes[e.dst]), d
+        return terms
 
     def edge_benefits(self, entropy_mode: str = "actual") -> dict:
         """Per-edge benefit in bits, without the ratio guards.
@@ -196,29 +249,21 @@ class WorkflowGraph:
         Ratios are undefined on zero-entropy inputs, but benefit still is;
         a fully-determined (presenter-perspective) workflow has benefit 0.
         """
-        from .reconstruction import distortion_bits
-        from .metrics import benefit as benefit_bits
-
-        h = entropy if entropy_mode == "actual" else max_entropy
         out = {}
-        for e in self.edges:
-            g = e.reconstruction
-            if g is None and not isinstance(e.transform.kind, DeclaredHuman):
-                raise ValueError(f"unscored edge: {e.transform.name}")
-            d = distortion_bits(g, e.transform, self.nodes[e.src])
-            out[e.transform.name] = benefit_bits(
-                h(self.nodes[e.src]), h(self.nodes[e.dst]), d
-            )
+        for i, e in enumerate(self.edges):
+            _check_scored(e)
+            out[e.transform.name] = benefit(*self._terms(i, entropy_mode))
         return out
 
     def edge_metrics(self, entropy_mode: str = "actual") -> dict:
         out = {}
-        for e in self.edges:
-            g = e.reconstruction
-            if g is None and not isinstance(e.transform.kind, DeclaredHuman):
-                raise ValueError(f"unscored edge: {e.transform.name}")
-            out[e.transform.name] = step_metrics(
-                e.transform, g, self.nodes[e.src], self.nodes[e.dst], entropy_mode
+        for i, e in enumerate(self.edges):
+            _check_scored(e)
+            # checked here, as step_metrics checks it, so errors keep their order
+            if entropy_mode not in ENTROPY_MODES:
+                raise ValueError(f"unknown entropy mode {entropy_mode!r}")
+            out[e.transform.name] = _step_metrics(
+                *self._terms(i, entropy_mode), e.transform.cost, entropy_mode
             )
         return out
 
@@ -253,8 +298,8 @@ class WorkflowGraph:
             return total
         # time semantics: critical-path accumulation, maximum at each joint
         acc = {n: 0.0 for n in self.nodes}
-        for n in self.topo_order():
-            incoming = self.in_edges(n)
+        for n in self._order:
+            incoming = self._in[n]
             if incoming:
                 acc[n] = functools.reduce(
                     np.maximum, [acc[e.src] + amount(e) for e in incoming]
@@ -278,23 +323,20 @@ class WorkflowGraph:
         """Accumulate per-edge benefits (transform name -> bits) to the sink."""
         h = entropy if entropy_mode == "actual" else max_entropy
         acc: dict = {}
-        for n in self.topo_order():
-            incoming = self.in_edges(n)
+        for n in self._order:
+            incoming = self._in[n]
             if not incoming:
                 acc[n] = Interval(0.0, 0.0)
             elif len(incoming) == 1:
                 e = incoming[0]
                 acc[n] = acc[e.src] + per_edge[e.transform.name]
             else:
-                fork = self._fork_of(n)
+                fork, branch_kinds = self._fork_of(n)
                 base = acc[fork]
                 arriving = []
                 for e in incoming:
                     total = acc[e.src] + per_edge[e.transform.name]
                     arriving.append(Interval(total.lo - base.lo, total.hi - base.hi))
-                branch_kinds = {
-                    e.transform.node_kind for e in self._branch_edges(fork, n)
-                }
                 lo = max(iv.lo for iv in arriving)
                 hi = sum(iv.hi for iv in arriving)
                 if branch_kinds <= {"M"}:
@@ -335,15 +377,20 @@ class WorkflowGraph:
         per_edge = self.edge_benefits(entropy_mode)
         b = 0.0
         c = 0.0
-        for src, dst in zip(node_path, node_path[1:]):
-            for e in self.edges:
-                if e.src == src and e.dst == dst:
-                    b += per_edge[e.transform.name]
-                    c += e.transform.cost.amount
-                    break
-            else:
-                raise ValueError(f"no edge {src}->{dst}")
+        for e, *_ in self.path_terms(node_path, entropy_mode):
+            b += per_edge[e.transform.name]
+            c += e.transform.cost.amount
         return b, c
+
+    def path_terms(self, node_path: list, entropy_mode: str = "actual"):
+        """Yield (edge, H(in), H(out), D_KL) for each hop of a node path,
+        taking the first edge of each hop; a hop with no edge raises when
+        it is reached."""
+        for src, dst in zip(node_path, node_path[1:]):
+            i = self._hops.get((src, dst))
+            if i is None:
+                raise ValueError(f"no edge {src}->{dst}")
+            yield (self.edges[i], *self._terms(i, entropy_mode))
 
     # -- classification ---------------------------------------------------
 
@@ -358,11 +405,7 @@ class WorkflowGraph:
 
     def _match_class(self) -> Optional[str]:
         if self.is_chain():
-            order = self.topo_order()
-            kinds = [
-                self._g.edges[s, d]["edge"].transform.node_kind
-                for s, d in zip(order, order[1:])
-            ]
+            kinds = [self._out[n][0].transform.node_kind for n in self._order[:-1]]
             chain_patterns = [
                 ("W1", ["H", "V", "H"]),
                 ("W2", ["V", "H"]),
@@ -375,16 +418,10 @@ class WorkflowGraph:
                     return tag
             return None
         # branching: machine branch parallel with a visual branch feeding H
-        joints = [n for n in self._g.nodes if self._g.in_degree(n) >= 2]
-        for joint in joints:
-            fork = self._fork_of(joint)
-            branch_edges = self._branch_edges(fork, joint)
-            kinds = {e.transform.node_kind for e in branch_edges}
-            downstream = [
-                d["edge"].transform.node_kind
-                for _, _, d in self._g.out_edges(joint, data=True)
-            ]
-            arriving = {e.transform.node_kind for e in self.in_edges(joint)}
+        for joint in self._joints:
+            _, kinds = self._fork_of(joint)
+            downstream = [e.transform.node_kind for e in self._out[joint]]
+            arriving = {e.transform.node_kind for e in self._in[joint]}
             if "M" in kinds and "V" in kinds and ("H" in downstream or "H" in arriving):
                 return "W4"
         return None

@@ -154,3 +154,25 @@ class TestSymbolic:
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
             Symbolic(-1.0, 3.0)
+
+
+class TestProbVector:
+    def test_aligned_with_ids(self):
+        a = enumerated("a", {"z": 0.5, "x": 0.125, "y": 0.375})
+        assert a.prob_vector().tolist() == [a.model.pmf[i] for i in a.letter_ids()]
+
+    def test_built_once_and_read_only(self):
+        a = enumerated("a", {"x": 0.5, "y": 0.5})
+        v = a.prob_vector()
+        assert v is a.prob_vector()
+        with pytest.raises(ValueError):
+            v[0] = 1.0
+
+    def test_not_compared_or_printed(self):
+        a = enumerated("a", {"x": 0.25, "y": 0.75})
+        assert a == enumerated("a", {"x": 0.25, "y": 0.75})
+        assert "vector" not in repr(a)
+
+    def test_symbolic_has_none(self):
+        with pytest.raises(ValueError, match="mode mismatch"):
+            symbolic("s", 3.0).prob_vector()

@@ -1,9 +1,12 @@
+import contextlib
+import io
 import json
 import subprocess
 import sys
 
 import pytest
 
+from cbr import cli
 from cbr.cli import main
 from cbr.specio import emit_spec, fixture_plot_vs_binary, load_fixture
 
@@ -136,6 +139,81 @@ class TestOptimize:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "error: duplicate dimension transform:zoom.cost_amount\n"
+
+
+class TestParamSpaceAgreement:
+    """``validate`` rejects every parameter space that ``optimize`` rejects."""
+
+    def add_dimension(self, path, dim):
+        with open(path) as fh:
+            data = json.load(fh)
+        data["param_space"]["dimensions"].append(dim)
+        with open(path, "w") as fh:
+            json.dump(data, fh)
+
+    @pytest.mark.parametrize("command", ["validate", "optimize"])
+    def test_duplicate_dimension(self, command, tunable_file, capsys):
+        self.add_dimension(
+            tunable_file, {"target": "transform:zoom", "field": "cost_amount", "values": [3.0]}
+        )
+        assert main([command, tunable_file]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: duplicate dimension transform:zoom.cost_amount\n"
+
+    @pytest.mark.parametrize("command", ["validate", "optimize"])
+    def test_dangling_target(self, command, tunable_file, capsys):
+        self.add_dimension(
+            tunable_file, {"target": "transform:nosuch", "field": "cost_amount", "values": [3.0]}
+        )
+        assert main([command, tunable_file]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: dangling reference: transform 'nosuch'"
+            " at param_space.dimensions[2].target\n"
+        )
+
+
+class TestOneProcess:
+    def run(self, argv, fresh):
+        if fresh:
+            cli._parser.cache_clear()
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                rc = main(argv)
+            except SystemExit as exc:
+                rc = exc.code
+        return rc, out.getvalue(), err.getvalue()
+
+    def test_parser_reused_across_commands(self, spec_file, tunable_file):
+        commands = [
+            ["analyze", spec_file],
+            ["report", "--format", "csv", spec_file],
+            ["optimize", tunable_file],
+            ["report", spec_file],  # usage error: --format is required
+            ["analyze", "--json", spec_file],
+        ]
+        expected = [self.run(argv, fresh=True) for argv in commands]
+        assert expected[3][0] == 2
+        parser = cli._parser()
+        assert [self.run(argv, fresh=False) for argv in commands] == expected
+        assert cli._parser() is parser
+
+    def test_analyze_builds_one_graph(self, spec_file, monkeypatch, capsys):
+        from cbr.workflow import WorkflowGraph
+
+        built = []
+        init = WorkflowGraph.__init__
+
+        def counted(self, *args, **kwargs):
+            built.append(self)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(WorkflowGraph, "__init__", counted)
+        assert main(["analyze", "--json", spec_file]) == 0
+        assert len(built) == 1
 
 
 class TestReport:

@@ -201,3 +201,159 @@ class TestFixtures:
         f.expected = [Expectation("graph:cost", "ne", 1.0)]
         with pytest.raises(ValueError, match="op"):
             check_fixture(f)
+
+
+def enum_fork_join() -> dict:
+    """X (16 letters) forks into a pairwise grouping and a 4-bin quantizer,
+    which two groupings join at a 2-letter decision D."""
+    p_x = [(i + 1) / 136 for i in range(16)]
+    p_g = [p_x[2 * j] + p_x[2 * j + 1] for j in range(8)]
+    p_q = [sum(p_x[4 * k: 4 * k + 4]) for k in range(4)]
+    p_d = [sum(p_x[:8]), sum(p_x[8:])]
+
+    def alphabet(name, ids, p):
+        return {"name": name, "model": {"type": "enumerated", "probs": dict(zip(ids, p))}}
+
+    def step(name, node_kind, kind):
+        return {"name": name, "node_kind": node_kind, "kind": kind,
+                "cost": {"kind": "time", "amount": 2.0, "unit": "s"}}
+
+    return {
+        "schema_version": "1",
+        "alphabets": [
+            alphabet("X", [str(i) for i in range(16)], p_x),
+            alphabet("G", [f"g{j}" for j in range(8)], p_g),
+            alphabet("Q", [f"bin{k}" for k in range(4)], p_q),
+            alphabet("D", ["d0", "d1"], p_d),
+        ],
+        "transforms": [
+            step("pair", "M", {"type": "grouping", "map": {str(i): f"g{i // 2}" for i in range(16)}}),
+            step("bin", "V", {"type": "quantizer", "levels": 4, "boundaries": [0, 4, 8, 12, 15]}),
+            step("coarse_g", "M", {"type": "grouping", "map": {f"g{j}": f"d{j // 4}" for j in range(8)}}),
+            step("coarse_q", "H", {"type": "grouping", "map": {f"bin{k}": f"d{k // 2}" for k in range(4)}}),
+        ],
+        "reconstructions": [
+            {"name": "uniform", "kind": {"type": "uniform_preimage"}},
+            {"name": "prior", "kind": {"type": "prior_weighted",
+                                       "prior": {str(i): 1 / 16 for i in range(16)}}},
+        ],
+        "graph": {
+            "edges": [
+                {"from": "X", "to": "G", "transform": "pair", "reconstruction": "uniform"},
+                {"from": "X", "to": "Q", "transform": "bin", "reconstruction": "prior"},
+                {"from": "G", "to": "D", "transform": "coarse_g", "reconstruction": "uniform"},
+                {"from": "Q", "to": "D", "transform": "coarse_q", "reconstruction": "uniform"},
+            ],
+            "decisional": "D",
+        },
+    }
+
+
+def count_calls(monkeypatch, *names) -> dict:
+    """Count calls of each named cbr function under every module name it has."""
+    import cbr.metrics
+    import cbr.reconstruction
+    import cbr.transform
+    import cbr.workflow
+
+    modules = (cbr.transform, cbr.reconstruction, cbr.metrics, cbr.workflow)
+    calls = dict.fromkeys(names, 0)
+
+    def counter(name, original):
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        return counted
+
+    for name in names:
+        original = next(getattr(m, name) for m in modules if hasattr(m, name))
+        for m in modules:
+            if getattr(m, name, None) is original:
+                monkeypatch.setattr(m, name, counter(name, original))
+    return calls
+
+
+class TestComputedOnce:
+    def test_parsed_spec_returns_its_graph(self):
+        spec = parse_spec(json.dumps(enum_fork_join()))
+        assert spec.build_graph() is spec.build_graph()
+
+    def test_spec_built_directly_builds_each_call(self):
+        from cbr.specio import WorkflowSpec
+
+        spec = WorkflowSpec(enum_fork_join())
+        assert spec.build_graph() is not spec.build_graph()
+
+    def test_built_graph_reads_its_terms(self, monkeypatch):
+        from cbr.specio import Fixture
+
+        spec = parse_spec(json.dumps(enum_fork_join()))
+        graph = spec.build_graph()
+        calls = count_calls(monkeypatch, "deterministic_codes", "distortion_bits", "_distortion")
+        first = graph.analyze()
+        assert graph.edge_metrics() == first.per_edge
+        assert graph.edge_metrics() == first.per_edge
+        expected = [
+            Expectation("edge:pair:benefit", "gt", 0.0),
+            Expectation("edge:bin:pdr", "gt", 0.0),
+            Expectation("path:X,Q,D:benefit", "gt", "path:X,G,D:benefit"),
+            Expectation("path:X,Q,D:as_printed", "gt", 0.0),
+            Expectation("graph:benefit_lo", "ge", 0.0),
+            Expectation("graph:cbr_hi", "gt", 0.0),
+        ]
+        rows = check_fixture(Fixture("enum", spec, expected))
+        assert all(r[4] for r in rows), rows
+        assert calls["deterministic_codes"] == 0
+        assert calls["distortion_bits"] <= len(graph.edges)
+        assert calls["_distortion"] == len(graph.edges)
+
+    def test_dropped_graph_freed_without_collection(self):
+        import gc
+        import weakref
+
+        gc.disable()
+        try:
+            spec = parse_spec(json.dumps(enum_fork_join()))
+            graph = spec.build_graph()
+            graph.analyze()
+            kind = weakref.ref(graph.edges[0].transform.kind)
+            del spec, graph
+            assert kind() is None
+        finally:
+            gc.enable()
+
+
+class TestParamSpaceAtParse:
+    def space(self, *dims):
+        return minimal(param_space={"dimensions": [
+            {"target": t, "field": f, "values": [1.0, 2.0]} for t, f in dims
+        ]})
+
+    def test_known_targets_accepted(self):
+        data = enum_fork_join()
+        data["param_space"] = {"dimensions": [
+            {"target": "transform:bin", "field": "bins", "values": [2, 4]},
+            {"target": "reconstruction:uniform", "field": "declared_bits", "values": [0.0]},
+            {"target": "edge:X->Q", "field": "enabled", "values": [True]},
+        ]}
+        parse_spec(json.dumps(data))
+
+    @pytest.mark.parametrize(
+        "target, message",
+        [
+            ("transform:nosuch", "dangling reference: transform 'nosuch'"),
+            ("reconstruction:nosuch", "dangling reference: reconstruction 'nosuch'"),
+            ("edge:b->a", "dangling reference: edge 'b->a'"),
+        ],
+    )
+    def test_dangling_target_rejected(self, target, message):
+        with pytest.raises(SpecError) as exc:
+            parse_spec(json.dumps(self.space(("transform:t", "cost_amount"), (target, "x"))))
+        assert str(exc.value) == f"{message} at param_space.dimensions[1].target"
+
+    def test_duplicate_dimension_rejected(self):
+        with pytest.raises(ValueError) as exc:
+            parse_spec(json.dumps(self.space(("transform:t", "cost_amount"), ("transform:t", "cost_amount"))))
+        assert not isinstance(exc.value, SpecError)
+        assert str(exc.value) == "duplicate dimension transform:t.cost_amount"

@@ -14,6 +14,7 @@ from cbr.transform import (
     Quantizer,
     Transform,
     compose,
+    deterministic_codes,
     identity_grouping,
     joint_distribution,
     mutual_information,
@@ -117,6 +118,36 @@ class TestPushforward:
             t = make_grouping(random_grouping(rng, pmf, int(rng.integers(1, n + 1))))
             out = pushforward(t, a)
             assert sum(out.model.pmf.probs.values()) == pytest.approx(1.0, abs=1e-9)
+
+
+class TestCompileMessages:
+    """Wording and precedence of the errors of compiling a step to codes."""
+
+    QUANT = Transform("q", Quantizer(2, (0.0, 5.0, 10.0)), COST, "M")
+
+    def test_unmapped_letters_first_three_in_input_order(self):
+        t = make_grouping({"f": "y", "a2": "z"})
+        a = uniform("x", ["e", "d", "c", "f", "b", "a", "a2"])
+        for compile_ in (deterministic_codes, pushforward):
+            with pytest.raises(ValueError) as exc:
+                compile_(t, a)
+            assert str(exc.value) == "partial mapping: unmapped letters ['e', 'd', 'c']"
+
+    @pytest.mark.parametrize(
+        "ids, message",
+        [
+            (["1", "99", "x", "2"], "partial mapping: letter '99' outside bin range"),
+            (["1", "x", "99", "2"], "partial mapping: letter 'x' is not numeric"),
+            (["1", "nan", "2"], "partial mapping: letter 'nan' outside bin range"),
+            (["2", "x", "nan"], "partial mapping: letter 'x' is not numeric"),
+        ],
+    )
+    def test_quantizer_letters(self, ids, message):
+        a = uniform("x", ids)
+        for compile_ in (deterministic_codes, pushforward):
+            with pytest.raises(ValueError) as exc:
+                compile_(self.QUANT, a)
+            assert str(exc.value) == message
 
 
 class TestOutputOrder:

@@ -195,6 +195,22 @@ class TestAccumulation:
         assert report.overall.total_cost.amount == pytest.approx(3.0)
         assert report.notes
 
+    def test_edge_metrics_returns_a_fresh_dict(self):
+        g = diamond()
+        first = g.edge_metrics()
+        expected = dict(first)
+        first.clear()
+        assert g.edge_metrics() == expected
+        g.edge_metrics()["va"] = None
+        assert g.edge_metrics() == expected
+
+    def test_terms_per_entropy_mode(self):
+        nodes = {"a": symbolic("a", 4.0, 8.0), "b": symbolic("b", 2.0)}
+        g = WorkflowGraph(nodes, [Edge("a", "b", declared("t", nodes["b"], 0.0, "H"))])
+        assert g.edge_metrics("actual")["t"].acr == pytest.approx(2.0 / 4.0)
+        assert g.edge_metrics("maximal")["t"].acr == pytest.approx(2.0 / 8.0)
+        assert g.edge_metrics("actual")["t"].acr == pytest.approx(2.0 / 4.0)
+
 
 class TestClassification:
     @pytest.mark.parametrize(
