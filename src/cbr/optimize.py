@@ -121,6 +121,31 @@ def _apply_to_reconstruction(g: Reconstruction, field_name: str, value) -> Recon
     raise ValueError(f"unknown reconstruction field {field_name!r}")
 
 
+def apply_dimension(g: WorkflowGraph, d: Dimension) -> list:
+    """``d``'s values applied, in order, to the transform or reconstruction
+    of ``g`` that it names (to an edge: the ``enabled`` flags); empty when
+    it names nothing in ``g``, which changes nothing, as in ``apply_assignment``.
+
+    Raises the ValueError that a search raises on ``d``: a field that does
+    not apply to the target, or a value that the field rejects.
+    """
+    scope, name = d.target.split(":", 1)
+    try:
+        for e in g.edges:
+            t, r = e.transform, e.reconstruction
+            if scope == "transform" and t.name == name:
+                return [_apply_to_transform(t, d.field, v) for v in d.values]
+            if scope == "reconstruction" and r is not None and r.name == name:
+                return [_apply_to_reconstruction(r, d.field, v) for v in d.values]
+            if scope == "edge" and name == f"{e.src}->{e.dst}":
+                if d.field != "enabled":
+                    raise ValueError(f"unknown edge field {d.field!r}")
+                return [bool(v) for v in d.values]
+    except TypeError as exc:  # a value such as null or a list
+        raise ValueError(f"bad value for {d.target}.{d.field}: {exc}") from None
+    return []
+
+
 def apply_assignment(g: WorkflowGraph, assignment: dict) -> WorkflowGraph:
     """Rebuild the graph with parameters applied, propagating alphabets.
 
@@ -198,16 +223,13 @@ class _Evaluator:
         self.structural = [i for i, d in enumerate(dims) if not _is_cost_only(d)]
         self.cost_only = [i for i, d in enumerate(dims) if _is_cost_only(d)]
         # dimension index -> (transform name, {value: validated amount}); a
-        # dimension naming no transform of the graph changes nothing, as in
-        # apply_assignment
-        transforms = {e.transform.name: e.transform for e in g.edges}
+        # dimension naming no transform of the graph changes nothing
         self.amounts = {}
-        for i in self.cost_only:
-            name = dims[i].target.split(":", 1)[1]
-            if name in transforms:
-                self.amounts[i] = name, {
-                    v: _apply_to_transform(transforms[name], "cost_amount", v).cost.amount
-                    for v in dims[i].values
+        for i, d in enumerate(dims):
+            applied = apply_dimension(g, d)  # every dimension, so that a bad one raises here
+            if applied and _is_cost_only(d):
+                self.amounts[i] = d.target.split(":", 1)[1], {
+                    v: t.cost.amount for v, t in zip(d.values, applied)
                 }
 
     def structure(self, assignment: dict) -> tuple:

@@ -32,7 +32,7 @@ from .reconstruction import (
     UniformPreimage,
 )
 from .workflow import Edge, WorkflowGraph
-from .optimize import Dimension, ParamSpace
+from .optimize import Dimension, ParamSpace, apply_dimension
 
 SCHEMA_VERSION = "1"
 
@@ -179,6 +179,67 @@ SCHEMA = {
 # on every call; tests/test_specio.py checks it once.
 _VALIDATOR = Draft202012Validator(SCHEMA)
 
+# The keywords each kind of schema node may use; a node with no "type" is an enum.
+_KEYWORDS = {
+    "object": {"required", "properties", "additionalProperties"},
+    "array": {"items", "minItems"},
+    "string": set(),
+    "integer": {"minimum", "exclusiveMinimum"},
+    "number": {"minimum", "exclusiveMinimum"},
+    "enum": {"enum"},
+}
+
+
+def _compile_schema(schema: dict):
+    """A predicate that is True only for documents ``schema`` accepts.
+
+    It is narrower than JSON Schema on purpose, and ``parse_spec`` asks
+    jsonschema whenever it is False: bool is not a number or an integer,
+    NaN and infinity are not numbers, 2.0 is not an integer, and an enum
+    holds strings only. A keyword or type it does not know raises here, so
+    that an edit of SCHEMA cannot make the predicate accept too much.
+    """
+    kind = schema.get("type", "enum")
+    # a tuple, not the dict: a list of types is unhashable
+    if kind not in tuple(_KEYWORDS) or not schema.keys() - {"$schema", "type"} <= _KEYWORDS[kind]:
+        raise ValueError(f"cannot compile schema node {sorted(schema)} of type {kind!r}")
+    if kind == "enum":
+        allowed = frozenset(schema["enum"])
+        return lambda d: type(d) is str and d in allowed
+    if kind == "string":
+        return lambda d: type(d) is str
+    if kind in ("integer", "number"):
+        lo, above = schema.get("minimum", -math.inf), schema.get("exclusiveMinimum", -math.inf)
+        if kind == "integer":
+            return lambda d: type(d) is int and d >= lo and d > above
+        # d - d is NaN for NaN and for infinity
+        return lambda d: (type(d) is int or type(d) is float and d - d == 0) and d >= lo and d > above
+    if kind == "array":
+        least = schema.get("minItems", 0)
+        item = _compile_schema(schema["items"]) if "items" in schema else None
+        return lambda d: type(d) is list and len(d) >= least and (item is None or all(map(item, d)))
+    required = frozenset(schema.get("required", ()))
+    props = {k: _compile_schema(v) for k, v in schema.get("properties", {}).items()}
+    closed = schema.get("additionalProperties", True) is False
+    if not closed and "additionalProperties" in schema:
+        raise ValueError("cannot compile additionalProperties other than false")
+
+    def conforms(d) -> bool:
+        if type(d) is not dict or not d.keys() >= required:
+            return False
+        if closed and not props.keys() >= d.keys():
+            return False
+        for k, v in d.items():
+            p = props.get(k)
+            if p is not None and not p(v):
+                return False
+        return True
+
+    return conforms
+
+
+_conforms = _compile_schema(SCHEMA)
+
 
 class SpecError(ValueError):
     """Structured spec parse/validation failure with a JSON-path context."""
@@ -186,6 +247,17 @@ class SpecError(ValueError):
     def __init__(self, message: str, path: str = ""):
         self.path = path
         super().__init__(f"{message}{f' at {path}' if path else ''}")
+
+
+# How a per-kind field that SCHEMA does not check fails when it is missing
+# (KeyError) or of the wrong type (the others).
+_FIELD_ERRORS = (KeyError, TypeError, AttributeError)
+
+
+def _field_error(exc: Exception, what: str, path: str) -> SpecError:
+    if isinstance(exc, KeyError):
+        return SpecError(f"{what} needs {exc.args[0]!r}", path)
+    return SpecError(f"{what} has a field of the wrong type ({exc})", path)
 
 
 def _build_alphabet(name: str, trail: tuple, decls: dict, cache: dict) -> Alphabet:
@@ -208,17 +280,49 @@ def _build_alphabet(name: str, trail: tuple, decls: dict, cache: dict) -> Alphab
         probs = m.get("probs")
         if not probs:
             raise SpecError("enumerated model needs probs", f"alphabets[{name}]")
-        a = enumerated(name, probs)
+        try:
+            a = enumerated(name, probs)
+        except _FIELD_ERRORS as exc:
+            raise _field_error(exc, "enumerated model", f"alphabets[{name}].model") from None
     elif t == "symbolic":
         e = m.get("entropy_bits")
         if e is None:
             raise SpecError("symbolic model needs entropy_bits", f"alphabets[{name}]")
         a = Alphabet(name, Symbolic(e, m.get("max_entropy_bits", e)))
     else:
-        factor = _build_alphabet(m["factor"], trail + (name,), decls, cache)
-        a = Alphabet(name, Product(factor, m["count"]))
+        try:
+            factor_name, count = m["factor"], m["count"]
+        except _FIELD_ERRORS as exc:
+            raise _field_error(exc, "product model", f"alphabets[{name}].model") from None
+        factor = _build_alphabet(factor_name, trail + (name,), decls, cache)
+        a = Alphabet(name, Product(factor, count))
     cache[name] = a
     return a
+
+
+def _transform_kind(kd: dict, t: str, path: str, alphabets: dict):
+    """The kind of the transform at ``path``, from its ``kind`` object ``kd``
+    of type ``t``; a missing or mistyped field raises one of ``_FIELD_ERRORS``."""
+    if t == "grouping":
+        mapping = dict(kd["map"])
+        # a list or object value, which cannot be a letter, raises TypeError
+        frozenset(mapping.values())
+        return Grouping(mapping)
+    if t == "quantizer":
+        b = kd.get("boundaries")
+        return Quantizer(kd["levels"], tuple(b) if b else None)
+    if t == "aggregator":
+        return Aggregator(kd["window"], kd.get("statistic", "mean"))
+    if t == "channel":
+        return Channel(
+            tuple(kd["inputs"]),
+            tuple(kd["outputs"]),
+            tuple(tuple(row) for row in kd["matrix"]),
+        )
+    out_name = kd["output"]
+    if out_name not in alphabets:
+        raise SpecError(f"dangling reference: alphabet {out_name!r}", f"{path}.kind.output")
+    return DeclaredHuman(alphabets[out_name], kd.get("distortion_bits", 0.0))
 
 
 @dataclass
@@ -258,26 +362,10 @@ class WorkflowSpec:
             kd = td["kind"]
             t = kd["type"]
             path = f"transforms[{i}]"
-            if t == "grouping":
-                kind = Grouping(dict(kd["map"]))
-            elif t == "quantizer":
-                b = kd.get("boundaries")
-                kind = Quantizer(kd["levels"], tuple(b) if b else None)
-            elif t == "aggregator":
-                kind = Aggregator(kd["window"], kd.get("statistic", "mean"))
-            elif t == "channel":
-                kind = Channel(
-                    tuple(kd["inputs"]),
-                    tuple(kd["outputs"]),
-                    tuple(tuple(row) for row in kd["matrix"]),
-                )
-            else:
-                out_name = kd["output"]
-                if out_name not in alphabets:
-                    raise SpecError(
-                        f"dangling reference: alphabet {out_name!r}", f"{path}.kind.output"
-                    )
-                kind = DeclaredHuman(alphabets[out_name], kd.get("distortion_bits", 0.0))
+            try:
+                kind = _transform_kind(kd, t, path, alphabets)
+            except _FIELD_ERRORS as exc:
+                raise _field_error(exc, f"{t} transform", f"{path}.kind") from None
             c = td["cost"]
             out[td["name"]] = Transform(
                 td["name"],
@@ -289,17 +377,20 @@ class WorkflowSpec:
 
     def reconstructions(self) -> dict:
         out = {}
-        for rd in self.data.get("reconstructions", []):
+        for i, rd in enumerate(self.data.get("reconstructions", [])):
             kd = rd["kind"]
             t = kd["type"]
-            if t == "exact_conditional":
-                kind = ExactConditional()
-            elif t == "uniform_preimage":
-                kind = UniformPreimage()
-            elif t == "prior_weighted":
-                kind = PriorWeighted(Pmf(kd["prior"]))
-            else:
-                kind = DeclaredDivergence(kd["bits"])
+            try:
+                if t == "exact_conditional":
+                    kind = ExactConditional()
+                elif t == "uniform_preimage":
+                    kind = UniformPreimage()
+                elif t == "prior_weighted":
+                    kind = PriorWeighted(Pmf(kd["prior"]))
+                else:
+                    kind = DeclaredDivergence(kd["bits"])
+            except _FIELD_ERRORS as exc:
+                raise _field_error(exc, f"{t} reconstruction", f"reconstructions[{i}].kind") from None
             out[rd["name"]] = Reconstruction(rd["name"], kind)
         return out
 
@@ -356,15 +447,24 @@ class WorkflowSpec:
         return ParamSpace(dims)
 
 
+def _reject_constant(name: str):
+    raise SpecError(f"non-finite number {name}: numbers must be finite")
+
+
 def parse_spec(text: str) -> WorkflowSpec:
-    """Parse and validate a JSON workflow spec document."""
+    """Parse and validate a JSON workflow spec document.
+
+    SCHEMA decides which documents are valid. ``_conforms`` accepts most of
+    them quickly; jsonschema checks the rest, and words the error.
+    """
     try:
-        data = json.loads(text)
+        data = json.loads(text, parse_constant=_reject_constant)
     except json.JSONDecodeError as exc:
         raise SpecError(f"malformed JSON: {exc}")
-    error = best_match(_VALIDATOR.iter_errors(data))
-    if error is not None:
-        raise SpecError(error.message, "/".join(str(p) for p in error.absolute_path))
+    if not _conforms(data):
+        error = best_match(_VALIDATOR.iter_errors(data))
+        if error is not None:
+            raise SpecError(error.message, "/".join(str(p) for p in error.absolute_path))
     if data["schema_version"] != SCHEMA_VERSION:
         raise SpecError(f"unknown schema_version {data['schema_version']!r}")
     spec = WorkflowSpec(data)
@@ -377,15 +477,12 @@ def parse_spec(text: str) -> WorkflowSpec:
 
 
 def _check_targets(space: ParamSpace, graph: WorkflowGraph) -> None:
-    """Every dimension names a transform, reconstruction or edge of the graph."""
-    names = {
-        "transform": {e.transform.name for e in graph.edges},
-        "reconstruction": {e.reconstruction.name for e in graph.edges if e.reconstruction},
-        "edge": {f"{e.src}->{e.dst}" for e in graph.edges},
-    }
+    """Every dimension names a transform, reconstruction or edge of the
+    graph, and a field that applies to it; a bad field raises the search's
+    own ValueError, so that ``validate`` and ``optimize`` agree."""
     for i, d in enumerate(space.dimensions):
-        scope, name = d.target.split(":", 1)
-        if name not in names[scope]:
+        if not apply_dimension(graph, d):  # a dimension has at least one value
+            scope, name = d.target.split(":", 1)
             raise SpecError(
                 f"dangling reference: {scope} {name!r}", f"param_space.dimensions[{i}].target"
             )

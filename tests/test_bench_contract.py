@@ -1,0 +1,41 @@
+"""The benchmark's traced run (``perfbench/run.py --trace 1``), in small.
+
+The traced run wraps named ``cbr`` functions, times the imports of
+``cbr.cli`` and its dependencies in fresh processes, and times the spec
+layers on a fixture's text. A change to ``cbr`` that removes what it reads
+makes that run fail; these calls into the benchmark's own functions fail
+here first. They name nothing themselves, so they follow the benchmark
+when it changes.
+"""
+
+import importlib
+import math
+from pathlib import Path
+
+import pytest
+
+from cbr.specio import emit_spec, load_fixture
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+@pytest.fixture
+def layers(monkeypatch):
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    return importlib.import_module("layers")
+
+
+def test_instrumentation_installs_and_restores(layers):
+    with layers.instrumented(layers.Tracer()):
+        pass
+
+
+def test_import_metrics(layers):
+    metrics = layers.import_metrics(str(ROOT / "src"))
+    assert metrics and all(value > 0 for value, _ in metrics.values())
+
+
+def test_spec_metrics_on_a_fixture(layers):
+    text = emit_spec(load_fixture("overview_interaction").spec)
+    metrics = layers.spec_metrics(text, "")
+    assert metrics and all(math.isfinite(value) for value, _ in metrics.values())

@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import math
 import subprocess
 import sys
 
@@ -172,6 +173,75 @@ class TestParamSpaceAgreement:
         assert captured.err == (
             "error: dangling reference: transform 'nosuch'"
             " at param_space.dimensions[2].target\n"
+        )
+
+
+    @pytest.mark.parametrize("command", ["validate", "optimize"])
+    @pytest.mark.parametrize(
+        "target, field, message",
+        [
+            ("transform:zoom", "bins", "zoom is not a quantizer"),
+            ("reconstruction:guess_uniform", "declared_bits", "guess_uniform is not a declared divergence"),
+            ("edge:Zs->Zo", "bins", "unknown edge field 'bins'"),
+        ],
+    )
+    def test_field_that_does_not_apply(self, command, target, field, message, tunable_file, capsys):
+        self.add_dimension(tunable_file, {"target": target, "field": field, "values": [4]})
+        assert main([command, tunable_file]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
+
+def overview_with(mutate) -> str:
+    """overview_interaction's spec text after ``mutate`` edits its document."""
+    data = json.loads(emit_spec(load_fixture("overview_interaction").spec))
+    mutate(data)
+    return json.dumps(data)
+
+
+class TestBadSpecs:
+    """Schema-valid documents with a bad per-kind field, and non-finite
+    numbers, end in one ``error:`` line and exit 1."""
+
+    def run(self, tmp_path, capsys, text, command="validate"):
+        path = tmp_path / "bad.json"
+        path.write_text(text)
+        argv = [command, "--json", str(path)] if command == "analyze" else [command, str(path)]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        return captured.err
+
+    @pytest.mark.parametrize(
+        "mutate, message",
+        [
+            (lambda d: d["transforms"][0]["kind"].pop("map"),
+             "grouping transform needs 'map' at transforms[0].kind"),
+            (lambda d: d["transforms"][0]["kind"]["map"].update({"10": []}),
+             "grouping transform has a field of the wrong type (unhashable type: 'list')"
+             " at transforms[0].kind"),
+            (lambda d: d["transforms"][1]["kind"].pop("output"),
+             "declared transform needs 'output' at transforms[1].kind"),
+            (lambda d: d["transforms"][1]["kind"].update(output=["Zd"]),
+             "declared transform has a field of the wrong type (unhashable type: 'list')"
+             " at transforms[1].kind"),
+            (lambda d: d["alphabets"][0]["model"]["probs"].update({"0": "0.0625"}),
+             "enumerated model has a field of the wrong type"
+             " ('<' not supported between instances of 'float' and 'str') at alphabets[Zs].model"),
+        ],
+    )
+    def test_per_kind_field(self, mutate, message, tmp_path, capsys):
+        assert self.run(tmp_path, capsys, overview_with(mutate)) == f"error: {message}\n"
+
+    @pytest.mark.parametrize("command", ["validate", "analyze"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_number(self, command, value, tmp_path, capsys):
+        text = overview_with(lambda d: d["reconstructions"][1]["kind"].update(bits=value))
+        name = json.dumps(value)
+        assert self.run(tmp_path, capsys, text, command) == (
+            f"error: non-finite number {name}: numbers must be finite\n"
         )
 
 

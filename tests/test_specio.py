@@ -1,8 +1,13 @@
+import copy
 import json
+import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 from jsonschema import Draft202012Validator
+from jsonschema.exceptions import best_match
 
+from cbr import specio
 from cbr.specio import (
     FIXTURE_NAMES,
     SCHEMA,
@@ -332,12 +337,32 @@ class TestParamSpaceAtParse:
 
     def test_known_targets_accepted(self):
         data = enum_fork_join()
+        # declared_bits applies to a declared divergence only
+        data["reconstructions"].append({"name": "declared", "kind": {"type": "declared", "bits": 0.0}})
+        data["graph"]["edges"][2]["reconstruction"] = "declared"
         data["param_space"] = {"dimensions": [
             {"target": "transform:bin", "field": "bins", "values": [2, 4]},
-            {"target": "reconstruction:uniform", "field": "declared_bits", "values": [0.0]},
+            {"target": "reconstruction:declared", "field": "declared_bits", "values": [0.0]},
             {"target": "edge:X->Q", "field": "enabled", "values": [True]},
         ]}
         parse_spec(json.dumps(data))
+
+    @pytest.mark.parametrize(
+        "target, field, message",
+        [
+            ("transform:pair", "bins", "pair is not a quantizer"),
+            ("transform:bin", "zoom", "unknown transform field 'zoom'"),
+            ("reconstruction:uniform", "declared_bits", "uniform is not a declared divergence"),
+            ("edge:X->Q", "bins", "unknown edge field 'bins'"),
+        ],
+    )
+    def test_field_that_does_not_apply_rejected(self, target, field, message):
+        data = enum_fork_join()
+        data["param_space"] = {"dimensions": [{"target": target, "field": field, "values": [2]}]}
+        with pytest.raises(ValueError) as exc:
+            parse_spec(json.dumps(data))
+        assert not isinstance(exc.value, SpecError)
+        assert str(exc.value) == message
 
     @pytest.mark.parametrize(
         "target, message",
@@ -357,3 +382,100 @@ class TestParamSpaceAtParse:
             parse_spec(json.dumps(self.space(("transform:t", "cost_amount"), ("transform:t", "cost_amount"))))
         assert not isinstance(exc.value, SpecError)
         assert str(exc.value) == "duplicate dimension transform:t.cost_amount"
+
+
+FIXTURE_DOCS = [json.loads(emit_spec(load_fixture(n).spec)) for n in FIXTURE_NAMES]
+JUNK = st.sampled_from(
+    [math.nan, math.inf, -math.inf, True, False, None, 0, -1, 0.0, -0.5, 2.5, 10**400,
+     "", "x", "grouping", [], [1], {}, {"type": "declared"}]
+).map(copy.deepcopy)  # a drawn list or object may be mutated later
+KEYS = st.sampled_from(["extra", "map", "output", "probs", "bits", "count", "factor", "type", "kind"])
+
+
+def containers(node) -> list:
+    """Every object and array in a document, the document first."""
+    out = [node]
+    for child in node.values() if isinstance(node, dict) else node:
+        if isinstance(child, (dict, list)):
+            out += containers(child)
+    return out
+
+
+@st.composite
+def mutated_docs(draw):
+    """A fixture document with one to three of: a value replaced by junk,
+    a key or item dropped, a key or item added."""
+    doc = copy.deepcopy(draw(st.sampled_from(FIXTURE_DOCS)))
+    for _ in range(draw(st.integers(1, 3))):
+        node = draw(st.sampled_from(containers(doc)))
+        keys = list(node) if isinstance(node, dict) else list(range(len(node)))
+        op = draw(st.sampled_from(["replace", "drop", "add"]))
+        if op == "add" or not keys:
+            if isinstance(node, dict):
+                node[draw(KEYS)] = draw(JUNK)
+            else:
+                node.append(draw(JUNK))
+        elif op == "drop":
+            del node[draw(st.sampled_from(keys))]
+        else:
+            node[draw(st.sampled_from(keys))] = draw(JUNK)
+    return doc
+
+
+class TestConforms:
+    """``_conforms`` accepts only what SCHEMA accepts; jsonschema words every rejection."""
+
+    @settings(max_examples=500, deadline=None)
+    @given(mutated_docs())
+    def test_sound_and_errors_unchanged(self, doc):
+        error = best_match(specio._VALIDATOR.iter_errors(doc))
+        if specio._conforms(doc):
+            assert error is None
+        if error is None:
+            return
+        try:
+            json.dumps(doc, allow_nan=False)
+        except ValueError:
+            finite = False
+        else:
+            finite = True
+        with pytest.raises(SpecError) as exc:
+            parse_spec(json.dumps(doc))
+        if finite:
+            path = "/".join(str(p) for p in error.absolute_path)
+            assert str(exc.value) == str(SpecError(error.message, path))
+        else:
+            assert "numbers must be finite" in str(exc.value)
+
+    @pytest.mark.parametrize(
+        "schema",
+        [
+            {"type": "object", "patternProperties": {}},
+            {"type": "null"},
+            {"type": ["string", "null"]},
+            {"type": "string", "minLength": 1},
+            {"minimum": 0},
+            {"type": "object", "additionalProperties": {"type": "string"}},
+            {"type": "array", "items": {"type": "number", "multipleOf": 2}},
+        ],
+    )
+    def test_unknown_keyword_or_type_raises(self, schema):
+        with pytest.raises(ValueError, match="cannot compile"):
+            specio._compile_schema(schema)
+
+    def test_narrower_than_the_schema(self):
+        number = specio._compile_schema({"type": "number", "minimum": 0})
+        integer = specio._compile_schema({"type": "integer", "minimum": 1})
+        assert number(0) and number(2.5) and number(10**400)
+        assert not any(map(number, [True, math.nan, math.inf, -1, "1", None]))
+        assert integer(1) and not any(map(integer, [True, 2.0, 0]))
+
+    @pytest.mark.parametrize("name", FIXTURE_NAMES)
+    def test_fixtures_skip_jsonschema(self, name, monkeypatch):
+        class Refuses:
+            def iter_errors(self, data):
+                raise AssertionError("jsonschema ran on a conforming document")
+
+        monkeypatch.setattr(specio, "_VALIDATOR", Refuses())
+        spec = load_fixture(name).spec
+        assert parse_spec(emit_spec(spec)).data == spec.data
