@@ -22,6 +22,17 @@ from . import _kernels
 PROB_TOL = 1e-9
 
 
+def _finite(what: str, *values) -> None:
+    """Raise ValueError unless every value is a finite number. An integer
+    too large for a float (a long JSON literal) is not finite either."""
+    try:
+        if all(map(math.isfinite, values)):
+            return
+    except OverflowError:
+        pass
+    raise ValueError(f"{what} must be finite")
+
+
 def _reject(probs: Mapping[str, float]) -> NoReturn:
     """Raise the error that ``Pmf`` reports for ``probs``: range, then sum."""
     for lid, p in probs.items():
@@ -119,6 +130,7 @@ class Symbolic:
     def __post_init__(self):
         if self.entropy_bits < 0 or self.max_entropy_bits < 0:
             raise ValueError("entropies must be non-negative")
+        _finite("entropies", self.entropy_bits, self.max_entropy_bits)
         if self.entropy_bits > self.max_entropy_bits + PROB_TOL:
             raise ValueError("entropy exceeds maximal entropy")
 
@@ -131,6 +143,7 @@ class Product:
     def __post_init__(self):
         if self.count < 1:
             raise ValueError("empty product")
+        _finite("factor count", self.count)
 
 
 Model = Union[Enumerated, Symbolic, Product]

@@ -6,15 +6,11 @@ cost. The machine-centric CBR variant uses mutual information in place of
 an explicit reconstruction.
 """
 
-import math
 from dataclasses import dataclass
 from typing import Optional
 
-import numpy as np
-
-from . import _kernels
 from .alphabet import Alphabet, entropy, max_entropy
-from .transform import CostRecord, Grouping, Transform, deterministic_codes
+from .transform import CostRecord, Grouping, Step, Transform
 from .reconstruction import Reconstruction, distortion_bits
 
 ENTROPY_MODES = ("actual", "maximal")
@@ -105,22 +101,10 @@ def _step_metrics(
 
 
 def grouping_check(input: Alphabet, grouping: Transform) -> float:
-    """Residual of the grouping identity H(X) = H(Y) + sum_k q(y_k) H_k.
-
-    One pass over the letters: each letter gets its group's integer code
-    (groups numbered in first-appearance order), ``q`` is the per-code sum
-    of ``p``, and each local entropy H_k is the per-code sum of
-    -(p/q_k) log2(p/q_k) over the group's letters.
-    """
+    """Residual of the grouping identity H(X) = H(Y) + sum_k q(y_k) H_k
+    (``Step.grouping_residual``)."""
     if not isinstance(grouping.kind, Grouping):
         raise ValueError("mode mismatch: grouping_check requires a grouping")
-    codes, _ = deterministic_codes(grouping, input)
-    p = input.prob_vector()
-    q = np.bincount(codes, weights=p)
-    live = p > 0.0  # 0 log 0 := 0; a group with q_k = 0 has H_k = 0
-    r = p[live] / q[codes[live]]
-    h_local = np.bincount(codes[live], weights=-r * np.log2(r), minlength=len(q))
-
-    h_x = _kernels.entropy_bits(p)
-    h_y = _kernels.entropy_bits(q)
-    return abs(h_x - h_y - math.fsum(q * h_local))
+    if not input.is_enumerated:
+        raise ValueError("mode mismatch: alphabet is not enumerated")
+    return Step(grouping, input).grouping_residual()

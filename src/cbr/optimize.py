@@ -141,7 +141,7 @@ def apply_dimension(g: WorkflowGraph, d: Dimension) -> list:
                 if d.field != "enabled":
                     raise ValueError(f"unknown edge field {d.field!r}")
                 return [bool(v) for v in d.values]
-    except TypeError as exc:  # a value such as null or a list
+    except (TypeError, OverflowError) as exc:  # null, a list, or too large a number
         raise ValueError(f"bad value for {d.target}.{d.field}: {exc}") from None
     return []
 

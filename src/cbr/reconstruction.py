@@ -13,15 +13,14 @@ from typing import Optional, Union
 import numpy as np
 
 from . import _kernels
-from .alphabet import Alphabet, Pmf, entropy
+from .alphabet import Alphabet, Pmf, _finite, entropy
 from .transform import (
     DeclaredHuman,
     Grouping,
     Quantizer,
+    Step,
     Transform,
-    deterministic_codes,
     mutual_information,
-    pushforward,
 )
 
 SMOOTHING_FLOOR = 1e-12
@@ -53,6 +52,7 @@ class DeclaredDivergence:
     def __post_init__(self):
         if self.bits < 0:
             raise ValueError("declared divergence must be non-negative")
+        _finite("declared divergence", self.bits)
 
 
 RKind = Union[ExactConditional, UniformPreimage, PriorWeighted, DeclaredDivergence]
@@ -79,25 +79,30 @@ def impression(g: Reconstruction, t: Transform, input: Alphabet) -> Impression:
     or the prior) and gives letter x the share q_out(y) w(x) / sum w over
     the preimage of y.
     """
-    v = _impression_vector(g, t, input, None)
+    _check_impression(g, t, input)
+    v = _impression_vector(g, Step(t, input))
     return Impression(input, Pmf(dict(zip(input.letter_ids(), v.tolist()))))
 
 
-def _impression_vector(
-    g: Reconstruction, t: Transform, input: Alphabet, compiled: Optional[tuple]
-) -> np.ndarray:
-    """The impression's probabilities, aligned with ``input.letter_ids()``.
-
-    ``compiled`` is ``deterministic_codes(t, input)``, or None to compute
-    it here.
-    """
-    kind = g.kind
-    if isinstance(kind, DeclaredDivergence):
+def _check_impression(g: Reconstruction, t: Transform, input: Alphabet) -> None:
+    """Raise unless ``g`` gives ``t`` on ``input`` an enumerated impression;
+    the public functions check this before they build a ``Step``."""
+    if isinstance(g.kind, DeclaredDivergence):
         raise ValueError("no enumerated impression available")
-    if not isinstance(t.kind, (Grouping, Quantizer)):
+    k = t.kind
+    if not isinstance(k, (Grouping, Quantizer)):
         raise ValueError("mode mismatch: impression requires a deterministic transform")
+    if isinstance(k, Quantizer) and k.boundaries is None:
+        raise ValueError("mode mismatch: symbolic quantizer has no letter map")
+    if not input.is_enumerated:
+        raise ValueError("mode mismatch: alphabet is not enumerated")
 
-    codes, out_ids = compiled or deterministic_codes(t, input)
+
+def _impression_vector(g: Reconstruction, step: Step) -> np.ndarray:
+    """The impression's probabilities, aligned with the input's letter ids."""
+    _check_impression(g, step.transform, step.input)
+    kind = g.kind
+    codes, out_ids, input = step.codes, step.out_ids, step.input
     p = input.prob_vector()
     if isinstance(kind, ExactConditional):
         w = p
@@ -157,26 +162,22 @@ def distortion_bits(
     """
     if machine_centric:
         return entropy(input) - mutual_information(t, input)
-    return _distortion(g, t, input, None, smooth)
-
-
-def _distortion(
-    g: Optional[Reconstruction],
-    t: Transform,
-    input: Alphabet,
-    compiled: Optional[tuple],
-    smooth: bool = False,
-) -> float:
-    """``distortion_bits`` of a reconstruction; ``compiled`` as in
-    ``_impression_vector``."""
     if g is None:
         if isinstance(t.kind, DeclaredHuman):
             return t.kind.declared_distortion_bits
         raise ValueError("unscored edge: no reconstruction given")
     if isinstance(g.kind, DeclaredDivergence):
         return g.kind.bits
-    v = _impression_vector(g, t, input, compiled)
+    _check_impression(g, t, input)
+    return step_distortion(g, Step(t, input), smooth)
+
+
+def step_distortion(g: Optional[Reconstruction], step: Step, smooth: bool = False) -> float:
+    """``distortion_bits`` of reconstruction ``g`` on a compiled step."""
+    if g is None or isinstance(g.kind, DeclaredDivergence):  # declared: no impression needed
+        return distortion_bits(g, step.transform, step.input)
+    v = _impression_vector(g, step)
     # renormalised as impression()'s Pmf is, so the result is bit-identical
     # to kl_divergence(impression(g, t, input).pmf, input.model.pmf)
     v = v / math.fsum(v)
-    return _kl_vectors(v, input.prob_vector(), smooth)
+    return _kl_vectors(v, step.input.prob_vector(), smooth)

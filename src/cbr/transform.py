@@ -8,7 +8,7 @@ enumerate.
 """
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Mapping, Optional, Union
 
 import numpy as np
@@ -21,7 +21,7 @@ from .alphabet import (
     Pmf,
     Product,
     Symbolic,
-    entropy,
+    _finite,
 )
 
 COST_KINDS = ("energy", "time", "monetary", "abstract")
@@ -39,6 +39,7 @@ class CostRecord:
             raise ValueError(f"unknown cost kind {self.kind!r}")
         if not self.amount > 0:
             raise ValueError("cost must be positive: an action always has a cost")
+        _finite("cost", self.amount)
 
     def __add__(self, other: "CostRecord") -> "CostRecord":
         if self.kind != other.kind or self.unit != other.unit:
@@ -76,6 +77,7 @@ class Quantizer:
                 raise ValueError("boundaries must have levels+1 edges")
             if any(b[i] >= b[i + 1] for i in range(len(b) - 1)):
                 raise ValueError("boundaries must be strictly increasing")
+            _finite("boundaries", *b)
 
 
 @dataclass(frozen=True)
@@ -103,6 +105,7 @@ class Channel:
     matrix: tuple  # rows of per-output probabilities, aligned with inputs/outputs
 
     def __post_init__(self):
+        _finite("channel entries", *(v for row in self.matrix for v in row))
         mat = self.as_array()
         if mat.shape != (len(self.inputs), len(self.outputs)):
             raise ValueError("channel matrix shape mismatch")
@@ -130,6 +133,7 @@ class DeclaredHuman:
     def __post_init__(self):
         if self.declared_distortion_bits < 0:
             raise ValueError("declared distortion must be non-negative")
+        _finite("declared distortion", self.declared_distortion_bits)
 
 
 Kind = Union[Grouping, Quantizer, Aggregator, Channel, DeclaredHuman]
@@ -208,78 +212,107 @@ def deterministic_codes(t: Transform, input: Alphabet) -> tuple:
     raise ValueError("mode mismatch: transform is not deterministic")
 
 
-def _compile(t: Transform, input: Alphabet) -> Optional[tuple]:
-    """``deterministic_codes`` of a step that ``pushforward`` maps letter by
-    letter (a grouping or an enumerated quantizer), else None."""
-    k = t.kind
-    if isinstance(k, Grouping) or (isinstance(k, Quantizer) and k.boundaries is not None):
-        if not input.is_enumerated:
-            raise ValueError("mode mismatch: deterministic transform requires enumerated input")
-        return deterministic_codes(t, input)
-    return None
-
-
 def deterministic_map(t: Transform, input: Alphabet) -> dict:
     """Input-letter-id -> output-letter-id map for deterministic kinds."""
     codes, out_ids = deterministic_codes(t, input)
     return dict(zip(input.letter_ids(), map(out_ids.__getitem__, codes.tolist())))
 
 
+class Step:
+    """One transform on one input alphabet. A grouping or an enumerated
+    quantizer is compiled here, once, to ``codes`` and ``out_ids`` (as
+    ``deterministic_codes``); for any other kind both are None."""
+
+    __slots__ = ("transform", "input", "codes", "out_ids")
+
+    def __init__(self, transform: Transform, input: Alphabet):
+        self.transform, self.input = transform, input
+        self.codes = self.out_ids = None
+        k = transform.kind
+        if isinstance(k, Grouping) or (isinstance(k, Quantizer) and k.boundaries is not None):
+            if not input.is_enumerated:
+                raise ValueError("mode mismatch: deterministic transform requires enumerated input")
+            self.codes, self.out_ids = deterministic_codes(transform, input)
+
+    def output(self, name: Optional[str] = None) -> Alphabet:
+        """Image alphabet of the input under the transform."""
+        t, input = self.transform, self.input
+        k = t.kind
+        name = name or f"{t.name}({input.name})"
+
+        if self.codes is not None:
+            # bincount adds in input order, like a running sum per output letter
+            q = np.bincount(self.codes, weights=input.prob_vector(), minlength=len(self.out_ids))
+            return Alphabet(name, Enumerated(self.out_ids, Pmf(dict(zip(self.out_ids, q.tolist())))))
+
+        if isinstance(k, DeclaredHuman):
+            return k.output
+
+        if isinstance(k, Aggregator):
+            m = input.model
+            if not isinstance(m, Product):
+                raise ValueError("mode mismatch: aggregator requires a product alphabet")
+            if m.count % k.window != 0:
+                raise ValueError("window does not divide the factor count")
+            return Alphabet(name, Product(m.factor, m.count // k.window))
+
+        if isinstance(k, Quantizer) and k.boundaries is None:
+            m = input.model
+            if not isinstance(m, Product) or not isinstance(m.factor.model, Symbolic):
+                raise ValueError(
+                    "mode mismatch: symbolic quantizer requires a product of symbolic factors"
+                )
+            bits = math.log2(k.levels)
+            f = m.factor.model
+            clamped = Alphabet(
+                f"{m.factor.name}@{k.levels}",
+                Symbolic(min(f.entropy_bits, bits), min(f.max_entropy_bits, bits)),
+            )
+            return Alphabet(name, Product(clamped, m.count))
+
+        if isinstance(k, Channel):
+            if not input.is_enumerated:
+                raise ValueError("mode mismatch: channel requires an enumerated alphabet")
+            ids = input.letter_ids()
+            if set(ids) != set(k.inputs):
+                raise ValueError("partial mapping: channel inputs do not match alphabet")
+            p = np.array([input.model.pmf[i] for i in k.inputs])
+            q = p @ k.as_array()
+            probs = {o: float(q[j]) for j, o in enumerate(k.outputs)}
+            return Alphabet(name, Enumerated(tuple(k.outputs), Pmf(probs)))
+
+        raise ValueError("mode mismatch: transform is not deterministic")
+
+    def mutual_information(self) -> float:
+        """I(input; output) in bits; the output entropy for a compiled step."""
+        if self.codes is not None:
+            return _kernels.entropy_bits(np.bincount(self.codes, weights=self.input.prob_vector()))
+        joint, _, _ = joint_distribution(self.transform, self.input)
+        return _kernels.mi_bits(joint)
+
+    def grouping_residual(self) -> float:
+        """Residual of the grouping identity H(X) = H(Y) + sum_k q(y_k) H_k
+        of a compiled step.
+
+        One pass over the letters: ``q`` is the per-code sum of ``p``, and
+        each local entropy H_k is the per-code sum of -(p/q_k) log2(p/q_k)
+        over the letters of group k.
+        """
+        codes = self.codes
+        p = self.input.prob_vector()
+        q = np.bincount(codes, weights=p)
+        live = p > 0.0  # 0 log 0 := 0; a group with q_k = 0 has H_k = 0
+        r = p[live] / q[codes[live]]
+        h_local = np.bincount(codes[live], weights=-r * np.log2(r), minlength=len(q))
+
+        h_x = _kernels.entropy_bits(p)
+        h_y = _kernels.entropy_bits(q)
+        return abs(h_x - h_y - math.fsum(q * h_local))
+
+
 def pushforward(t: Transform, input: Alphabet, name: Optional[str] = None) -> Alphabet:
     """Image alphabet of ``input`` under ``t``."""
-    return _pushforward(t, input, _compile(t, input), name)
-
-
-def _pushforward(
-    t: Transform, input: Alphabet, compiled: Optional[tuple], name: Optional[str] = None
-) -> Alphabet:
-    """``pushforward`` given ``_compile(t, input)``."""
-    k = t.kind
-    name = name or f"{t.name}({input.name})"
-
-    if compiled is not None:
-        codes, out_ids = compiled
-        # bincount adds in input order, like a running sum per output letter
-        q = np.bincount(codes, weights=input.prob_vector(), minlength=len(out_ids))
-        return Alphabet(name, Enumerated(out_ids, Pmf(dict(zip(out_ids, q.tolist())))))
-
-    if isinstance(k, DeclaredHuman):
-        return k.output
-
-    if isinstance(k, Aggregator):
-        m = input.model
-        if not isinstance(m, Product):
-            raise ValueError("mode mismatch: aggregator requires a product alphabet")
-        if m.count % k.window != 0:
-            raise ValueError("window does not divide the factor count")
-        return Alphabet(name, Product(m.factor, m.count // k.window))
-
-    if isinstance(k, Quantizer) and k.boundaries is None:
-        m = input.model
-        if not isinstance(m, Product) or not isinstance(m.factor.model, Symbolic):
-            raise ValueError(
-                "mode mismatch: symbolic quantizer requires a product of symbolic factors"
-            )
-        bits = math.log2(k.levels)
-        f = m.factor.model
-        clamped = Alphabet(
-            f"{m.factor.name}@{k.levels}",
-            Symbolic(min(f.entropy_bits, bits), min(f.max_entropy_bits, bits)),
-        )
-        return Alphabet(name, Product(clamped, m.count))
-
-    if isinstance(k, Channel):
-        if not input.is_enumerated:
-            raise ValueError("mode mismatch: channel requires an enumerated alphabet")
-        ids = input.letter_ids()
-        if set(ids) != set(k.inputs):
-            raise ValueError("partial mapping: channel inputs do not match alphabet")
-        p = np.array([input.model.pmf[i] for i in k.inputs])
-        q = p @ k.as_array()
-        probs = {o: float(q[j]) for j, o in enumerate(k.outputs)}
-        return Alphabet(name, Enumerated(tuple(k.outputs), Pmf(probs)))
-
-    raise ValueError("mode mismatch: transform is not deterministic")
+    return Step(t, input).output(name)
 
 
 def joint_distribution(t: Transform, input: Alphabet) -> tuple:
@@ -305,11 +338,9 @@ def joint_distribution(t: Transform, input: Alphabet) -> tuple:
 
 def mutual_information(t: Transform, input: Alphabet) -> float:
     """I(input; output) in bits; equals output entropy for deterministic kinds."""
-    if isinstance(t.kind, (Grouping, Quantizer)) and input.is_enumerated:
-        codes, _ = deterministic_codes(t, input)
-        return _kernels.entropy_bits(np.bincount(codes, weights=input.prob_vector()))
-    joint, _, _ = joint_distribution(t, input)
-    return _kernels.mi_bits(joint)
+    if not input.is_enumerated:
+        raise ValueError("requires enumerated model")
+    return Step(t, input).mutual_information()
 
 
 def _as_channel(t: Transform) -> Channel:
@@ -344,6 +375,3 @@ def compose(t1: Transform, t2: Transform) -> Transform:
     rows = tuple(tuple(float(v) for v in row) for row in mat)
     return Transform(name, Channel(c1.inputs, c2.outputs, rows), cost, t2.node_kind)
 
-
-def with_cost(t: Transform, amount: float) -> Transform:
-    return replace(t, cost=replace(t.cost, amount=amount))

@@ -15,8 +15,8 @@ import networkx as nx
 import numpy as np
 
 from .alphabet import Alphabet, entropy, max_entropy
-from .transform import CostRecord, Transform, DeclaredHuman, _compile, _pushforward
-from .reconstruction import Reconstruction, _distortion
+from .transform import CostRecord, Transform, DeclaredHuman, Step
+from .reconstruction import Reconstruction, step_distortion
 from .metrics import ENTROPY_MODES, _step_metrics, benefit
 
 ENTROPY_TOL = 1e-9
@@ -116,7 +116,7 @@ class WorkflowGraph:
     """Validated DAG with exactly one decisional sink alphabet.
 
     The structure (topological order, in- and out-edges, each joint's fork)
-    and each deterministic edge's letter codes are computed once, here.
+    and each edge's ``Step``, with its letter codes, are computed once, here.
     Each edge's H(in), H(out) and D_KL are computed once per entropy mode,
     when first needed.
     """
@@ -150,17 +150,14 @@ class WorkflowGraph:
         if not nx.is_directed_acyclic_graph(g):
             raise ValueError("workflow graph must be acyclic")
 
-        self._compiled = {}  # edge index -> (codes, out_ids) of a deterministic edge
-        for i, e in enumerate(self.edges):
-            src = self.nodes[e.src]
-            compiled = _compile(e.transform, src)
-            if compiled is not None:
-                self._compiled[i] = compiled
-            out = _pushforward(e.transform, src, compiled)
-            if not _alphabets_close(out, self.nodes[e.dst]):
+        self._steps = []  # one Step per edge, in edge order
+        for e in self.edges:
+            step = Step(e.transform, self.nodes[e.src])
+            if not _alphabets_close(step.output(), self.nodes[e.dst]):
                 raise ValueError(
                     f"edge {e.transform.name}: pushforward does not match node {e.dst}"
                 )
+            self._steps.append(step)
 
         sinks = [n for n in self.nodes if not succ[n]]
         if decisional is None:
@@ -236,11 +233,10 @@ class WorkflowGraph:
         key = (i, entropy_mode == "actual")
         terms = self._terms_cache.get(key)
         if terms is None:
-            e = self.edges[i]
+            e, step = self.edges[i], self._steps[i]
             h = entropy if key[1] else max_entropy
-            src = self.nodes[e.src]
-            d = _distortion(e.reconstruction, e.transform, src, self._compiled.get(i))
-            terms = self._terms_cache[key] = h(src), h(self.nodes[e.dst]), d
+            d = step_distortion(e.reconstruction, step)
+            terms = self._terms_cache[key] = h(step.input), h(self.nodes[e.dst]), d
         return terms
 
     def edge_benefits(self, entropy_mode: str = "actual") -> dict:

@@ -193,6 +193,14 @@ class TestParamSpaceAgreement:
         assert captured.err == f"error: {message}\n"
 
 
+PLACEHOLDER = 123.25  # written in the spec text as one of the literals below
+BIG = "1" + "0" * 400  # an integer literal too large for a float
+
+
+def dimension(field: str) -> dict:
+    return {"dimensions": [{"target": "transform:plot", "field": field, "values": [PLACEHOLDER]}]}
+
+
 def overview_with(mutate) -> str:
     """overview_interaction's spec text after ``mutate`` edits its document."""
     data = json.loads(emit_spec(load_fixture("overview_interaction").spec))
@@ -243,6 +251,41 @@ class TestBadSpecs:
         assert self.run(tmp_path, capsys, text, command) == (
             f"error: non-finite number {name}: numbers must be finite\n"
         )
+
+    @pytest.mark.parametrize(
+        "fixture, mutate, literal, command, message",
+        [
+            ("overview_interaction", lambda d: d["transforms"][0]["cost"].update(amount=PLACEHOLDER),
+             "1e400", "analyze", "cost must be finite"),
+            ("overview_interaction", lambda d: d["reconstructions"][1]["kind"].update(bits=PLACEHOLDER),
+             "1e400", "analyze", "declared divergence must be finite"),
+            ("share_price_chain",
+             lambda d: d["alphabets"][0]["model"].update(max_entropy_bits=PLACEHOLDER),
+             BIG, "validate", "entropies must be finite"),
+            ("share_price_chain", lambda d: d["alphabets"][1]["model"].update(count=PLACEHOLDER),
+             BIG, "validate", "factor count must be finite"),
+            ("overview_interaction", lambda d: d["transforms"][0]["cost"].update(amount=PLACEHOLDER),
+             BIG, "analyze", "cost must be finite"),
+            ("overview_interaction", lambda d: d["reconstructions"][1]["kind"].update(bits=PLACEHOLDER),
+             BIG, "analyze", "declared divergence must be finite"),
+            ("share_price_chain", lambda d: d.update(param_space=dimension("cost_amount")),
+             BIG, "optimize",
+             "bad value for transform:plot.cost_amount: int too large to convert to float"),
+            ("share_price_chain", lambda d: d.update(param_space=dimension("bins")),
+             "1e400", "optimize",
+             "bad value for transform:plot.bins: cannot convert float infinity to integer"),
+        ],
+        ids=["amount-1e400", "bits-1e400", "max_entropy_bits-long", "count-long", "amount-long",
+             "bits-long", "cost_amount-long", "bins-1e400"],
+    )
+    def test_overflowing_number(self, fixture, mutate, literal, command, message, tmp_path, capsys):
+        """A literal that ``json`` reads as inf (1e400), or an integer too large
+        for a float, where the program needs a finite float."""
+        data = json.loads(emit_spec(load_fixture(fixture).spec))
+        mutate(data)
+        text = json.dumps(data).replace(str(PLACEHOLDER), literal)
+        assert literal in text
+        assert self.run(tmp_path, capsys, text, command) == f"error: {message}\n"
 
 
 class TestOneProcess:

@@ -1,0 +1,126 @@
+"""Recorded CLI outputs for the six bundled fixtures.
+
+``cbr fixtures``, and ``validate``, ``analyze``, ``analyze --json`` and
+``report --format csv|dot`` on each fixture's spec file, are compared
+with the outputs kept in ``tests/golden/``: the exit code and standard
+error exactly, standard output token by token. A token that reads as a
+number may differ from the recorded one by 1e-12 relative, so that a
+last-bit difference in ``log2`` between machines does not fail the test;
+every other token must match exactly.
+
+After a change that is meant to alter these outputs, record them again
+with ``PYTHONPATH=src python tests/test_golden.py`` and review the diff.
+"""
+
+import contextlib
+import io
+import json
+import math
+import os
+import re
+import sys
+import tempfile
+from pathlib import Path
+
+import pytest
+
+from cbr.cli import main
+from cbr.specio import FIXTURE_NAMES, emit_spec, load_fixture
+
+GOLDEN = Path(__file__).parent / "golden"
+COMMANDS = {
+    "validate": ["validate"],
+    "analyze": ["analyze"],
+    "analyze --json": ["analyze", "--json"],
+    "report csv": ["report", "--format", "csv"],
+    "report dot": ["report", "--format", "dot"],
+}
+NUMBER = re.compile(r"([-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?)")
+REL_TOL = 1e-12
+
+
+def run(argv) -> list:
+    """[exit code, stdout, stderr] of one in-process ``cbr`` command."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            rc = main(argv)
+        except SystemExit as exc:
+            rc = exc.code
+    return [rc, out.getvalue(), err.getvalue()]
+
+
+def fixture_outputs(name: str) -> dict:
+    """Every command's output on fixture ``name``, run from the current
+    directory, where its spec is written as ``<name>.json``."""
+    path = f"{name}.json"
+    Path(path).write_text(emit_spec(load_fixture(name).spec), encoding="utf-8")
+    return {cmd: run(args + [path]) for cmd, args in COMMANDS.items()}
+
+
+def same_tokens(recorded: str, actual: str) -> bool:
+    a, b = NUMBER.split(recorded), NUMBER.split(actual)
+    if len(a) != len(b):
+        return False
+    # split() puts the numbers at the odd positions
+    return all(
+        x == y if i % 2 == 0 else math.isclose(float(x), float(y), rel_tol=REL_TOL)
+        for i, (x, y) in enumerate(zip(a, b))
+    )
+
+
+def assert_matches(recorded: list, actual: list) -> None:
+    assert actual[0] == recorded[0]
+    assert actual[2] == recorded[2]
+    assert same_tokens(recorded[1], actual[1]), actual[1]
+
+
+def test_fixtures_command():
+    recorded = json.loads((GOLDEN / "fixtures.json").read_text(encoding="utf-8"))
+    assert_matches(recorded, run(["fixtures"]))
+
+
+@pytest.mark.parametrize("name", FIXTURE_NAMES)
+def test_fixture_commands(name, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    recorded = json.loads((GOLDEN / f"{name}.json").read_text(encoding="utf-8"))
+    actual = fixture_outputs(name)
+    assert list(actual) == list(recorded)
+    for cmd in COMMANDS:
+        assert_matches(recorded[cmd], actual[cmd])
+
+
+@pytest.mark.parametrize(
+    "recorded, actual, same",
+    [
+        ("B=2.5 bits", "B=2.5000000000001 bits", True),
+        ("B=2.5 bits", "B=2.5001 bits", False),
+        ("overview,0.5,1e-05", "overview,0.5,1.00000000000001e-05", True),
+        ("[ok] edge", "[FAIL] edge", False),
+        ("Z3 1", "Z3 1 2", False),
+    ],
+)
+def test_token_comparison(recorded, actual, same):
+    assert same_tokens(recorded, actual) is same
+
+
+def record() -> None:
+    GOLDEN.mkdir(exist_ok=True)
+
+    def write(name, value):
+        text = json.dumps(value, indent=1, ensure_ascii=False) + "\n"
+        (GOLDEN / f"{name}.json").write_text(text, encoding="utf-8")
+
+    write("fixtures", run(["fixtures"]))
+    cwd = os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp:
+        os.chdir(tmp)
+        try:
+            for name in FIXTURE_NAMES:
+                write(name, fixture_outputs(name))
+        finally:
+            os.chdir(cwd)
+
+
+if __name__ == "__main__":
+    sys.exit(record())

@@ -292,10 +292,20 @@ class TestComputedOnce:
 
     def test_built_graph_reads_its_terms(self, monkeypatch):
         from cbr.specio import Fixture
+        from cbr.transform import Step
 
+        steps = []
+        init = Step.__init__
+
+        def counted(self, *args):
+            steps.append(self)
+            init(self, *args)
+
+        monkeypatch.setattr(Step, "__init__", counted)
         spec = parse_spec(json.dumps(enum_fork_join()))
         graph = spec.build_graph()
-        calls = count_calls(monkeypatch, "deterministic_codes", "distortion_bits", "_distortion")
+        assert len(steps) == len(graph.edges)
+        calls = count_calls(monkeypatch, "deterministic_codes", "step_distortion")
         first = graph.analyze()
         assert graph.edge_metrics() == first.per_edge
         assert graph.edge_metrics() == first.per_edge
@@ -310,8 +320,8 @@ class TestComputedOnce:
         rows = check_fixture(Fixture("enum", spec, expected))
         assert all(r[4] for r in rows), rows
         assert calls["deterministic_codes"] == 0
-        assert calls["distortion_bits"] <= len(graph.edges)
-        assert calls["_distortion"] == len(graph.edges)
+        assert calls["step_distortion"] == len(graph.edges)
+        assert len(steps) == len(graph.edges)
 
     def test_dropped_graph_freed_without_collection(self):
         import gc
