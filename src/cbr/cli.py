@@ -6,9 +6,11 @@ Exit codes: 0 success, 1 validation or analysis error, 2 usage error.
 import argparse
 import functools
 import json
+import operator
 import sys
 
 from . import optimize as opt
+from .metrics import ENTROPY_MODES
 from .specio import (
     FIXTURE_NAMES,
     SpecError,
@@ -17,6 +19,15 @@ from .specio import (
     parse_spec,
 )
 from .transform import CostRecord
+from .workflow import MERGES
+
+# each per-edge field of ``analyze --json`` and ``report --format csv``, and
+# the StepMetrics attribute it reads
+_EDGE_FIELDS = {
+    "acr": "acr", "pdr": "pdr", "ecr": "ecr", "benefit_bits": "benefit_bits",
+    "cost": "cost.amount", "incremental_cbr": "incremental_cbr",
+}
+_edge_values = operator.attrgetter(*_EDGE_FIELDS.values())
 
 
 def _load(path: str):
@@ -66,14 +77,7 @@ def _cmd_analyze(args) -> int:
         payload = {
             "entropy_mode": report.entropy_mode,
             "per_edge": {
-                name: {
-                    "acr": m.acr,
-                    "pdr": m.pdr,
-                    "ecr": m.ecr,
-                    "benefit_bits": m.benefit_bits,
-                    "cost": m.cost.amount,
-                    "incremental_cbr": m.incremental_cbr,
-                }
+                name: dict(zip(_EDGE_FIELDS, _edge_values(m)))
                 for name, m in report.per_edge.items()
             },
             "total_cost": o.total_cost.amount,
@@ -127,12 +131,9 @@ def _cmd_report(args) -> int:
         print(graph.to_dot(entropy_mode=mode))
         return 0
     report = graph.analyze(entropy_mode=mode)
-    print("step,acr,pdr,ecr,benefit_bits,cost,incremental_cbr")
+    print(",".join(["step", *_EDGE_FIELDS]))
     for name, m in report.per_edge.items():
-        print(
-            f"{name},{m.acr},{m.pdr},{m.ecr},{m.benefit_bits},"
-            f"{m.cost.amount},{m.incremental_cbr}"
-        )
+        print(",".join([name, *map(str, _edge_values(m))]))
     return 0
 
 
@@ -170,8 +171,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("analyze", help="compute per-step and overall metrics")
     sp.add_argument("file")
-    sp.add_argument("--mode", choices=["actual", "maximal"], default=None)
-    sp.add_argument("--merge", choices=["sum", "max_parallel"], default="sum")
+    sp.add_argument("--mode", choices=ENTROPY_MODES, default=None)
+    sp.add_argument("--merge", choices=MERGES, default="sum")
     sp.add_argument("--json", action="store_true")
     sp.set_defaults(func=_cmd_analyze)
 

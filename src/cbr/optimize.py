@@ -15,7 +15,7 @@ from typing import Optional
 
 import numpy as np
 
-from .alphabet import Alphabet, Symbolic
+from .alphabet import Alphabet
 from .transform import (
     Aggregator,
     CostRecord,
@@ -91,21 +91,33 @@ def _uniform_boundaries(lo: float, hi: float, k: int) -> tuple:
     return tuple(lo + i * step for i in range(k)) + (hi,)
 
 
-def _apply_to_transform(t: Transform, field_name: str, value) -> Transform:
+def _count(value) -> int:
+    """``value`` as a bin count or a window: an integer, or a float that is one."""
+    if isinstance(value, bool) or int(value) != value:
+        raise TypeError(f"{value!r} is not an integer")
+    return int(value)
+
+
+def _apply_to_transform(t: Transform, field_name: str, value, input: Alphabet) -> Transform:
     k = t.kind
     if field_name == "cost_amount":
         return replace(t, cost=replace(t.cost, amount=float(value)))
     if field_name == "bins":
         if not isinstance(k, Quantizer):
             raise ValueError(f"{t.name} is not a quantizer")
+        bins = _count(value)
         if k.boundaries is None:
-            return replace(t, kind=Quantizer(int(value), None))
+            return replace(t, kind=Quantizer(bins, None))
+        # checked before any boundary is built: they take O(bins) time and memory
+        letters = len(input.letter_ids())
+        if bins > letters:
+            raise ValueError(f"{t.name} has more bins than the {letters} letters of its input")
         lo, hi = k.boundaries[0], k.boundaries[-1]
-        return replace(t, kind=Quantizer(int(value), _uniform_boundaries(lo, hi, int(value))))
+        return replace(t, kind=Quantizer(bins, _uniform_boundaries(lo, hi, bins)))
     if field_name == "window":
         if not isinstance(k, Aggregator):
             raise ValueError(f"{t.name} is not an aggregator")
-        return replace(t, kind=replace(k, window=int(value)))
+        return replace(t, kind=replace(k, window=_count(value)))
     if field_name == "declared_distortion_bits":
         if not isinstance(k, DeclaredHuman):
             raise ValueError(f"{t.name} is not a declared step")
@@ -113,12 +125,32 @@ def _apply_to_transform(t: Transform, field_name: str, value) -> Transform:
     raise ValueError(f"unknown transform field {field_name!r}")
 
 
-def _apply_to_reconstruction(g: Reconstruction, field_name: str, value) -> Reconstruction:
-    if field_name == "declared_bits":
-        if not isinstance(g.kind, DeclaredDivergence):
-            raise ValueError(f"{g.name} is not a declared divergence")
-        return replace(g, kind=DeclaredDivergence(float(value)))
-    raise ValueError(f"unknown reconstruction field {field_name!r}")
+def _apply(g: WorkflowGraph, e: Edge, target: str, field_name: str, value):
+    """``value`` applied as ``field_name`` to the part of edge ``e`` of ``g``
+    that ``target`` names: a new transform or reconstruction, or the edge's
+    ``enabled`` flag; None when ``target`` names no part of ``e``.
+
+    Raises ValueError for a field that does not apply to that part, or a
+    value that the field rejects.
+    """
+    scope, name = target.split(":", 1)
+    t, r = e.transform, e.reconstruction
+    try:
+        if scope == "transform" and t.name == name:
+            return _apply_to_transform(t, field_name, value, g.nodes[e.src])
+        if scope == "reconstruction" and r is not None and r.name == name:
+            if field_name != "declared_bits":
+                raise ValueError(f"unknown reconstruction field {field_name!r}")
+            if not isinstance(r.kind, DeclaredDivergence):
+                raise ValueError(f"{r.name} is not a declared divergence")
+            return replace(r, kind=DeclaredDivergence(float(value)))
+        if scope == "edge" and name == f"{e.src}->{e.dst}":
+            if field_name != "enabled":
+                raise ValueError(f"unknown edge field {field_name!r}")
+            return bool(value)
+    except (TypeError, OverflowError) as exc:  # null, a list, a fraction, or too large a number
+        raise ValueError(f"bad value for {target}.{field_name}: {exc}") from None
+    return None
 
 
 def apply_dimension(g: WorkflowGraph, d: Dimension) -> list:
@@ -129,20 +161,10 @@ def apply_dimension(g: WorkflowGraph, d: Dimension) -> list:
     Raises the ValueError that a search raises on ``d``: a field that does
     not apply to the target, or a value that the field rejects.
     """
-    scope, name = d.target.split(":", 1)
-    try:
-        for e in g.edges:
-            t, r = e.transform, e.reconstruction
-            if scope == "transform" and t.name == name:
-                return [_apply_to_transform(t, d.field, v) for v in d.values]
-            if scope == "reconstruction" and r is not None and r.name == name:
-                return [_apply_to_reconstruction(r, d.field, v) for v in d.values]
-            if scope == "edge" and name == f"{e.src}->{e.dst}":
-                if d.field != "enabled":
-                    raise ValueError(f"unknown edge field {d.field!r}")
-                return [bool(v) for v in d.values]
-    except (TypeError, OverflowError) as exc:  # null, a list, or too large a number
-        raise ValueError(f"bad value for {d.target}.{d.field}: {exc}") from None
+    for e in g.edges:
+        first = _apply(g, e, d.target, d.field, d.values[0])
+        if first is not None:
+            return [first] + [_apply(g, e, d.target, d.field, v) for v in d.values[1:]]
     return []
 
 
@@ -154,20 +176,17 @@ def apply_assignment(g: WorkflowGraph, assignment: dict) -> WorkflowGraph:
     """
     edges = []
     for e in g.edges:
-        t, r = e.transform, e.reconstruction
         enabled = True
         for (target, field_name), value in assignment.items():
-            scope, name = target.split(":", 1)
-            if scope == "transform" and name == t.name:
-                t = _apply_to_transform(t, field_name, value)
-            elif scope == "reconstruction" and r is not None and name == r.name:
-                r = _apply_to_reconstruction(r, field_name, value)
-            elif scope == "edge" and name == f"{e.src}->{e.dst}":
-                if field_name != "enabled":
-                    raise ValueError(f"unknown edge field {field_name!r}")
-                enabled = bool(value)
+            applied = _apply(g, e, target, field_name, value)
+            if isinstance(applied, Transform):
+                e = replace(e, transform=applied)
+            elif isinstance(applied, Reconstruction):
+                e = replace(e, reconstruction=applied)
+            elif applied is not None:
+                enabled = applied
         if enabled:
-            edges.append(Edge(e.src, e.dst, t, r))
+            edges.append(e)
 
     # propagate alphabets from sources in topological order
     used = {e.src for e in edges} | {e.dst for e in edges} | {g.decisional}

@@ -16,6 +16,8 @@ from jsonschema.exceptions import best_match
 
 from .alphabet import Alphabet, Pmf, Product, Symbolic, enumerated
 from .transform import (
+    COST_KINDS,
+    NODE_KINDS,
     Aggregator,
     Channel,
     CostRecord,
@@ -31,7 +33,8 @@ from .reconstruction import (
     Reconstruction,
     UniformPreimage,
 )
-from .workflow import Edge, WorkflowGraph
+from .metrics import ENTROPY_MODES
+from .workflow import CLASS_LEVEL, LEVELS, Edge, WorkflowGraph
 from .optimize import Dimension, ParamSpace, apply_dimension
 
 SCHEMA_VERSION = "1"
@@ -40,7 +43,7 @@ _COST = {
     "type": "object",
     "required": ["kind", "amount", "unit"],
     "properties": {
-        "kind": {"enum": ["energy", "time", "monetary", "abstract"]},
+        "kind": {"enum": list(COST_KINDS)},
         "amount": {"type": "number", "exclusiveMinimum": 0},
         "unit": {"type": "string"},
     },
@@ -53,7 +56,7 @@ SCHEMA = {
     "required": ["schema_version", "alphabets", "transforms", "graph"],
     "properties": {
         "schema_version": {"type": "string"},
-        "entropy_mode": {"enum": ["actual", "maximal"]},
+        "entropy_mode": {"enum": list(ENTROPY_MODES)},
         "cost_model": {
             "type": "object",
             "required": ["kind", "unit"],
@@ -89,7 +92,7 @@ SCHEMA = {
                 "required": ["name", "kind", "cost"],
                 "properties": {
                     "name": {"type": "string"},
-                    "node_kind": {"enum": ["M", "H", "V", "I"]},
+                    "node_kind": {"enum": list(NODE_KINDS)},
                     "cost": _COST,
                     "kind": {
                         "type": "object",
@@ -151,8 +154,8 @@ SCHEMA = {
                     },
                 },
                 "decisional": {"type": "string"},
-                "class_tag": {"enum": ["W1", "W2", "W3", "W4", "W5", "W6"]},
-                "level_tag": {"enum": ["V_D", "V_O", "V_A", "V_M"]},
+                "class_tag": {"enum": list(CLASS_LEVEL)},
+                "level_tag": {"enum": list(LEVELS)},
             },
         },
         "param_space": {
@@ -579,8 +582,18 @@ def _as_printed_cbr(graph: WorkflowGraph, nodes: list, entropy_mode: str) -> flo
     return total
 
 
+# op -> whether a computed value meets the expected one, given the tolerance
+_OPS = {
+    "approx": lambda computed, expected, tol: abs(computed - expected) <= tol,
+    "le": lambda computed, expected, tol: computed <= expected + tol,
+    "ge": lambda computed, expected, tol: computed >= expected - tol,
+    "lt": lambda computed, expected, tol: computed < expected,
+    "gt": lambda computed, expected, tol: computed > expected,
+}
+
+
 def check_fixture(f: Fixture) -> list:
-    """Evaluate every expectation; returns (path, op, expected, computed, ok)."""
+    """Evaluate every expectation; returns (path, op, expected, computed, ok, provenance)."""
     graph = f.spec.build_graph()
     mode = f.spec.entropy_mode
     rows = []
@@ -589,18 +602,9 @@ def check_fixture(f: Fixture) -> list:
         expected = e.value
         if isinstance(expected, str):
             expected = resolve_metric(graph, expected, mode)
-        if e.op == "approx":
-            ok = abs(computed - expected) <= e.tolerance
-        elif e.op == "le":
-            ok = computed <= expected + e.tolerance
-        elif e.op == "ge":
-            ok = computed >= expected - e.tolerance
-        elif e.op == "lt":
-            ok = computed < expected
-        elif e.op == "gt":
-            ok = computed > expected
-        else:
+        if e.op not in _OPS:
             raise ValueError(f"unknown expectation op {e.op!r}")
+        ok = _OPS[e.op](computed, expected, e.tolerance)
         rows.append((e.path, e.op, expected, computed, ok, e.provenance))
     return rows
 
@@ -624,13 +628,13 @@ def _prod(name: str, factor: str, count: int) -> dict:
     return {"name": name, "model": {"type": "product", "factor": factor, "count": count}}
 
 
+def _step(name: str, node_kind: str, cost: float, kind: dict) -> dict:
+    return {"name": name, "node_kind": node_kind, "cost": _cost(cost), "kind": kind}
+
+
 def _declared(name: str, output: str, distortion: float, cost: float, node_kind: str) -> dict:
-    return {
-        "name": name,
-        "node_kind": node_kind,
-        "cost": _cost(cost),
-        "kind": {"type": "declared", "output": output, "distortion_bits": distortion},
-    }
+    kind = {"type": "declared", "output": output, "distortion_bits": distortion}
+    return _step(name, node_kind, cost, kind)
 
 
 def _edge(src: str, dst: str, transform: str, recon: Optional[str] = None) -> dict:
@@ -638,6 +642,25 @@ def _edge(src: str, dst: str, transform: str, recon: Optional[str] = None) -> di
     if recon:
         e["reconstruction"] = recon
     return e
+
+
+def _document(
+    tag: str, mode: str, decisional: str, alphabets: list, transforms: list, edges: list,
+    recons: Optional[list] = None,
+) -> WorkflowSpec:
+    """The parsed spec of one case study, with its costs in minutes."""
+    data = {
+        "schema_version": SCHEMA_VERSION,
+        "entropy_mode": mode,
+        "cost_model": {"kind": "time", "unit": "min"},
+        "fixture_tag": tag,
+        "alphabets": alphabets,
+        "transforms": transforms,
+    }
+    if recons is not None:
+        data["reconstructions"] = recons
+    data["graph"] = {"edges": edges, "decisional": decisional}
+    return parse_spec(json.dumps(data))
 
 
 def fixture_share_price(r: int = 1) -> WorkflowSpec:
@@ -667,18 +690,8 @@ def fixture_share_price(r: int = 1) -> WorkflowSpec:
     else:
         alphabets += [_sym("Z3c", 0.0), _sym("Z4c", 0.0)]
     transforms = [
-        {
-            "name": "aggregate",
-            "node_kind": "M",
-            "cost": _cost(1),
-            "kind": {"type": "aggregator", "window": 12, "statistic": "mean"},
-        },
-        {
-            "name": "plot",
-            "node_kind": "V",
-            "cost": _cost(1),
-            "kind": {"type": "quantizer", "levels": 128},
-        },
+        _step("aggregate", "M", 1, {"type": "aggregator", "window": 12, "statistic": "mean"}),
+        _step("plot", "V", 1, {"type": "quantizer", "levels": 128}),
         _declared("recognize", "Z4", 0.0, 5, "H"),
         _declared("correlate", "Z3c", 0.0, 1, "M"),
         _declared("colormap", "Z4c", 0.0, 1, "V"),
@@ -695,17 +708,7 @@ def fixture_share_price(r: int = 1) -> WorkflowSpec:
         _edge("Z4", "Z5", "decide_features"),
         _edge("Z4c", "Z5", "decide_corr"),
     ]
-    data = {
-        "schema_version": SCHEMA_VERSION,
-        "entropy_mode": "maximal",
-        "cost_model": {"kind": "time", "unit": "min"},
-        "fixture_tag": "share_price_chain",
-        "alphabets": alphabets,
-        "transforms": transforms,
-        "reconstructions": recons,
-        "graph": {"edges": edges, "decisional": "Z5"},
-    }
-    return parse_spec(json.dumps(data))
+    return _document("share_price_chain", "maximal", "Z5", alphabets, transforms, edges, recons)
 
 
 def share_price_expected(r: int) -> list:
@@ -764,31 +767,21 @@ def fixture_plot_vs_binary(presenter: bool = False) -> WorkflowSpec:
         _edge("Za3", "Z4", "decide_plot"),
         _edge("Zb3", "Z4", "decide_binary"),
     ]
-    data = {
-        "schema_version": SCHEMA_VERSION,
-        "entropy_mode": "actual",
-        "cost_model": {"kind": "time", "unit": "min"},
-        "fixture_tag": "plot_vs_binary",
-        "alphabets": alphabets,
-        "transforms": transforms,
-        "graph": {"edges": edges, "decisional": "Z4"},
-    }
-    return parse_spec(json.dumps(data))
+    return _document("plot_vs_binary", "actual", "Z4", alphabets, transforms, edges)
 
 
-def _plot_vs_binary_expected() -> list:
-    return [
-        Expectation("edge:recognize_plot:benefit", "approx", 415.0, 1.0, "declared"),
-        Expectation(
-            "path:Z1,Za2,Za3,Z4:cbr", "gt", "path:Z1,Zb2,Zb3,Z4:cbr", 0.0, "declared"
-        ),
-        Expectation(
-            "edge:recognize_binary:pdr", "gt", "edge:recognize_plot:pdr", 0.0, "declared"
-        ),
-        Expectation(
-            "edge:recognize_binary:cost", "gt", "edge:recognize_plot:cost", 0.0, "declared"
-        ),
-    ]
+_PLOT_VS_BINARY_EXPECTED = (
+    Expectation("edge:recognize_plot:benefit", "approx", 415.0, 1.0, "declared"),
+    Expectation(
+        "path:Z1,Za2,Za3,Z4:cbr", "gt", "path:Z1,Zb2,Zb3,Z4:cbr", 0.0, "declared"
+    ),
+    Expectation(
+        "edge:recognize_binary:pdr", "gt", "edge:recognize_plot:pdr", 0.0, "declared"
+    ),
+    Expectation(
+        "edge:recognize_binary:cost", "gt", "edge:recognize_plot:cost", 0.0, "declared"
+    ),
+)
 
 
 def fixture_overview_interaction() -> WorkflowSpec:
@@ -801,6 +794,7 @@ def fixture_overview_interaction() -> WorkflowSpec:
     region = {str(i): 1.0 / 16 for i in range(16)}
     detail = {f"d{i}": 1.0 / 8 for i in range(8)}
     decision = {"act": 0.5, "hold": 0.5}
+    groups = {str(i): f"g{i // 4}" for i in range(16)}
     alphabets = [
         {"name": "Zs", "model": {"type": "enumerated", "probs": region}},
         {
@@ -811,15 +805,7 @@ def fixture_overview_interaction() -> WorkflowSpec:
         {"name": "Zf", "model": {"type": "enumerated", "probs": decision}},
     ]
     transforms = [
-        {
-            "name": "overview",
-            "node_kind": "M",
-            "cost": _cost(1),
-            "kind": {
-                "type": "grouping",
-                "map": {str(i): f"g{i // 4}" for i in range(16)},
-            },
-        },
+        _step("overview", "M", 1, {"type": "grouping", "map": groups}),
         _declared("zoom", "Zd", 0.5, 2, "H"),
         _declared("decide", "Zf", 0.0, 1, "H"),
     ]
@@ -833,30 +819,19 @@ def fixture_overview_interaction() -> WorkflowSpec:
         _edge("Zo", "Zd", "zoom", "zoom_declared"),
         _edge("Zd", "Zf", "decide", "decide_declared"),
     ]
-    data = {
-        "schema_version": SCHEMA_VERSION,
-        "entropy_mode": "actual",
-        "cost_model": {"kind": "time", "unit": "min"},
-        "fixture_tag": "overview_interaction",
-        "alphabets": alphabets,
-        "transforms": transforms,
-        "reconstructions": recons,
-        "graph": {"edges": edges, "decisional": "Zf"},
-    }
-    return parse_spec(json.dumps(data))
+    return _document("overview_interaction", "actual", "Zf", alphabets, transforms, edges, recons)
 
 
-def _overview_expected() -> list:
-    return [
-        Expectation("node:Zs:entropy", "approx", 4.0, 1e-9, "derived"),
-        Expectation("edge:overview:benefit", "approx", 2.0, 1e-9, "derived"),
-        Expectation("edge:zoom:benefit", "approx", -1.5, 1e-9, "declared"),
-        # soft knowledge raises entropy downstream of a human step
-        Expectation("node:Zd:entropy", "gt", "node:Zo:entropy", 0.0, "qualitative"),
-        Expectation("graph:benefit_lo", "approx", 2.5, 1e-9, "derived"),
-        Expectation("graph:benefit_hi", "approx", 2.5, 1e-9, "derived"),
-        Expectation("graph:cbr_lo", "approx", 0.625, 1e-9, "derived"),
-    ]
+_OVERVIEW_EXPECTED = (
+    Expectation("node:Zs:entropy", "approx", 4.0, 1e-9, "derived"),
+    Expectation("edge:overview:benefit", "approx", 2.0, 1e-9, "derived"),
+    Expectation("edge:zoom:benefit", "approx", -1.5, 1e-9, "declared"),
+    # soft knowledge raises entropy downstream of a human step
+    Expectation("node:Zd:entropy", "gt", "node:Zo:entropy", 0.0, "qualitative"),
+    Expectation("graph:benefit_lo", "approx", 2.5, 1e-9, "derived"),
+    Expectation("graph:benefit_hi", "approx", 2.5, 1e-9, "derived"),
+    Expectation("graph:cbr_lo", "approx", 0.625, 1e-9, "derived"),
+)
 
 
 def fixture_sports_events() -> WorkflowSpec:
@@ -890,32 +865,22 @@ def fixture_sports_events() -> WorkflowSpec:
         _edge("vis_glyph", "decision", "judge_glyph"),
         _edge("vis_stats", "decision", "judge_stats"),
     ]
-    data = {
-        "schema_version": SCHEMA_VERSION,
-        "entropy_mode": "actual",
-        "cost_model": {"kind": "time", "unit": "min"},
-        "fixture_tag": "sports_events",
-        "alphabets": alphabets,
-        "transforms": transforms,
-        "graph": {"edges": edges, "decisional": "decision"},
-    }
-    return parse_spec(json.dumps(data))
+    return _document("sports_events", "actual", "decision", alphabets, transforms, edges)
 
 
-def _sports_expected() -> list:
-    return [
-        Expectation(
-            "edge:detect_machine:pdr", "gt", "edge:annotate_human:pdr", 0.0, "qualitative"
-        ),
-        Expectation("edge:stats:pdr", "gt", "edge:glyphs:pdr", 0.0, "qualitative"),
-        Expectation(
-            "path:video,events_h,vis_glyph,decision:cbr",
-            "gt",
-            "path:video,events_m,vis_stats,decision:cbr",
-            0.0,
-            "qualitative",
-        ),
-    ]
+_SPORTS_EXPECTED = (
+    Expectation(
+        "edge:detect_machine:pdr", "gt", "edge:annotate_human:pdr", 0.0, "qualitative"
+    ),
+    Expectation("edge:stats:pdr", "gt", "edge:glyphs:pdr", 0.0, "qualitative"),
+    Expectation(
+        "path:video,events_h,vis_glyph,decision:cbr",
+        "gt",
+        "path:video,events_m,vis_stats,decision:cbr",
+        0.0,
+        "qualitative",
+    ),
+)
 
 
 def fixture_readability() -> WorkflowSpec:
@@ -942,30 +907,20 @@ def fixture_readability() -> WorkflowSpec:
         _edge("sent_view", "decision", "judge_sentence"),
         _edge("doc_score", "decision", "judge_doc"),
     ]
-    data = {
-        "schema_version": SCHEMA_VERSION,
-        "entropy_mode": "actual",
-        "cost_model": {"kind": "time", "unit": "min"},
-        "fixture_tag": "readability",
-        "alphabets": alphabets,
-        "transforms": transforms,
-        "graph": {"edges": edges, "decisional": "decision"},
-    }
-    return parse_spec(json.dumps(data))
+    return _document("readability", "actual", "decision", alphabets, transforms, edges)
 
 
-def _readability_expected() -> list:
-    return [
-        Expectation("edge:doc_view:acr", "lt", "edge:sentence_view:acr", 0.0, "derived"),
-        Expectation("edge:doc_view:pdr", "gt", "edge:sentence_view:pdr", 0.0, "qualitative"),
-        Expectation(
-            "path:features,sent_view,decision:cbr",
-            "gt",
-            "path:features,doc_score,decision:cbr",
-            0.0,
-            "qualitative",
-        ),
-    ]
+_READABILITY_EXPECTED = (
+    Expectation("edge:doc_view:acr", "lt", "edge:sentence_view:acr", 0.0, "derived"),
+    Expectation("edge:doc_view:pdr", "gt", "edge:sentence_view:pdr", 0.0, "qualitative"),
+    Expectation(
+        "path:features,sent_view,decision:cbr",
+        "gt",
+        "path:features,doc_score,decision:cbr",
+        0.0,
+        "qualitative",
+    ),
+)
 
 
 def fixture_decision_tree() -> WorkflowSpec:
@@ -998,55 +953,37 @@ def fixture_decision_tree() -> WorkflowSpec:
         _edge("pcp", "tree", "select_variables"),
         _edge("vec322", "tree", "c45"),
     ]
-    data = {
-        "schema_version": SCHEMA_VERSION,
-        "entropy_mode": "actual",
-        "cost_model": {"kind": "time", "unit": "min"},
-        "fixture_tag": "decision_tree",
-        "alphabets": alphabets,
-        "transforms": transforms,
-        "graph": {"edges": edges, "decisional": "tree"},
-    }
-    return parse_spec(json.dumps(data))
+    return _document("decision_tree", "actual", "tree", alphabets, transforms, edges)
 
 
-def _decision_tree_expected() -> list:
-    return [
-        Expectation("node:vec322:max_entropy", "approx", 2576.0, 1e-6, "derived"),
-        Expectation(
-            "path:vec322,pcp,tree:benefit", "gt", "path:vec322,tree:benefit", 0.0, "qualitative"
-        ),
-        Expectation(
-            "path:vec322,pcp,tree:cost", "gt", "path:vec322,tree:cost", 0.0, "qualitative"
-        ),
-        Expectation("edge:c45:pdr", "gt", "edge:select_variables:pdr", 0.0, "qualitative"),
-    ]
-
-
-FIXTURE_NAMES = (
-    "share_price_chain",
-    "plot_vs_binary",
-    "overview_interaction",
-    "sports_events",
-    "readability",
-    "decision_tree",
+_DECISION_TREE_EXPECTED = (
+    Expectation("node:vec322:max_entropy", "approx", 2576.0, 1e-6, "derived"),
+    Expectation(
+        "path:vec322,pcp,tree:benefit", "gt", "path:vec322,tree:benefit", 0.0, "qualitative"
+    ),
+    Expectation(
+        "path:vec322,pcp,tree:cost", "gt", "path:vec322,tree:cost", 0.0, "qualitative"
+    ),
+    Expectation("edge:c45:pdr", "gt", "edge:select_variables:pdr", 0.0, "qualitative"),
 )
 
 
+# fixture name -> (spec builder, called with no arguments, and its expectations)
+_FIXTURES = {
+    "share_price_chain": (fixture_share_price, share_price_expected(1)),
+    "plot_vs_binary": (fixture_plot_vs_binary, _PLOT_VS_BINARY_EXPECTED),
+    "overview_interaction": (fixture_overview_interaction, _OVERVIEW_EXPECTED),
+    "sports_events": (fixture_sports_events, _SPORTS_EXPECTED),
+    "readability": (fixture_readability, _READABILITY_EXPECTED),
+    "decision_tree": (fixture_decision_tree, _DECISION_TREE_EXPECTED),
+}
+FIXTURE_NAMES = tuple(_FIXTURES)
+
+
 def load_fixture(name: str) -> Fixture:
-    if name == "share_price_chain":
-        return Fixture(name, fixture_share_price(1), share_price_expected(1))
-    if name == "plot_vs_binary":
-        return Fixture(name, fixture_plot_vs_binary(), _plot_vs_binary_expected())
-    if name == "overview_interaction":
-        return Fixture(name, fixture_overview_interaction(), _overview_expected())
-    if name == "sports_events":
-        return Fixture(name, fixture_sports_events(), _sports_expected())
-    if name == "readability":
-        return Fixture(name, fixture_readability(), _readability_expected())
-    if name == "decision_tree":
-        return Fixture(name, fixture_decision_tree(), _decision_tree_expected())
-    raise KeyError(name)
+    """Fixture ``name``; raises KeyError(name) for a name it does not know."""
+    spec, expected = _FIXTURES[name]
+    return Fixture(name, spec(), list(expected))
 
 
 def all_fixtures() -> list:

@@ -19,7 +19,7 @@ from .transform import CostRecord, Transform, DeclaredHuman, Step
 from .reconstruction import Reconstruction, step_distortion
 from .metrics import ENTROPY_MODES, _step_metrics, benefit
 
-ENTROPY_TOL = 1e-9
+MERGES = ("sum", "max_parallel")  # how cost accumulates: over all edges, or along the critical path
 
 
 @dataclass(frozen=True)
@@ -134,15 +134,15 @@ class WorkflowGraph:
         self.class_tag = class_tag
         self.level_tag = level_tag
 
-        # one edge per (src, dst) pair in the adjacency, the last one given,
-        # in the place of the first, as a networkx DiGraph keeps them
-        succ: dict = {n: {} for n in self.nodes}
-        pred: dict = {n: {} for n in self.nodes}
+        # every edge, in edge order: two edges from one node to another are
+        # parallel branches, and their target is a joint
+        self._in: dict = {n: [] for n in self.nodes}
+        self._out: dict = {n: [] for n in self.nodes}
         for e in self.edges:
             if e.src not in self.nodes or e.dst not in self.nodes:
                 raise ValueError(f"dangling reference: edge {e.src}->{e.dst}")
-            succ[e.src][e.dst] = e
-            pred[e.dst][e.src] = e
+            self._out[e.src].append(e)
+            self._in[e.dst].append(e)
         # networkx sees node names only, and is not kept
         g = nx.DiGraph()
         g.add_nodes_from(self.nodes)
@@ -159,7 +159,7 @@ class WorkflowGraph:
                 )
             self._steps.append(step)
 
-        sinks = [n for n in self.nodes if not succ[n]]
+        sinks = [n for n in self.nodes if not self._out[n]]
         if decisional is None:
             if len(sinks) != 1:
                 raise ValueError("exactly one decisional sink required")
@@ -171,16 +171,14 @@ class WorkflowGraph:
         self.decisional = decisional
 
         self._order = tuple(nx.topological_sort(g))
-        self._in = {n: tuple(pred[n].values()) for n in self.nodes}
-        self._out = {n: tuple(succ[n].values()) for n in self.nodes}
         # joint -> (fork, node kinds of the edges between fork and joint), or
         # None when the arriving branches share no ancestor
         rank = {n: i for i, n in enumerate(self._order)}
         self._joints = {}
         for n in self.nodes:
-            if len(pred[n]) < 2:
+            if len(self._in[n]) < 2:
                 continue
-            common = set.intersection(*(nx.ancestors(g, s) | {s} for s in pred[n]))
+            common = set.intersection(*(nx.ancestors(g, e.src) | {e.src} for e in self._in[n]))
             if not common:
                 self._joints[n] = None
                 continue
@@ -201,9 +199,6 @@ class WorkflowGraph:
 
     def topo_order(self) -> list:
         return list(self._order)
-
-    def in_edges(self, node: str) -> list:
-        return list(self._in[node])
 
     def is_chain(self) -> bool:
         """One path: no node has two in- or out-edges, and (acyclic as the
@@ -274,7 +269,7 @@ class WorkflowGraph:
         array) that replace its own; the totals then broadcast over them,
         one per combination, each equal to the total for that combination.
         """
-        if merge not in ("sum", "max_parallel"):
+        if merge not in MERGES:
             raise ValueError(f"unknown cost merge {merge!r}")
         kinds = {(e.transform.cost.kind, e.transform.cost.unit) for e in self.edges}
         if len(kinds) != 1:

@@ -1,8 +1,9 @@
-"""Recorded CLI outputs for the six bundled fixtures.
+"""Recorded CLI outputs for the six bundled fixtures and for ``cbr optimize``.
 
 ``cbr fixtures``, and ``validate``, ``analyze``, ``analyze --json`` and
 ``report --format csv|dot`` on each fixture's spec file, are compared
-with the outputs kept in ``tests/golden/``: the exit code and standard
+with the outputs kept in ``tests/golden/``, and so is ``cbr optimize``
+on the parameter spaces of ``OPTIMIZE_SPECS``: the exit code and standard
 error exactly, standard output token by token. A token that reads as a
 number may differ from the recorded one by 1e-12 relative, so that a
 last-bit difference in ``log2`` between machines does not fail the test;
@@ -25,7 +26,8 @@ from pathlib import Path
 import pytest
 
 from cbr.cli import main
-from cbr.specio import FIXTURE_NAMES, emit_spec, load_fixture
+from cbr.specio import FIXTURE_NAMES, emit_spec, fixture_share_price, load_fixture
+from test_specio import enum_fork_join
 
 GOLDEN = Path(__file__).parent / "golden"
 COMMANDS = {
@@ -34,6 +36,45 @@ COMMANDS = {
     "analyze --json": ["analyze", "--json"],
     "report csv": ["report", "--format", "csv"],
     "report dot": ["report", "--format", "dot"],
+}
+OPTIMIZE_COMMANDS = {
+    "plain": ["optimize"],
+    "frontier": ["optimize", "--frontier"],
+    "greedy": ["optimize", "--greedy", "--restarts", "3"],
+    "budget": ["optimize", "--budget", "12"],
+}
+
+
+def _share_price_space() -> dict:
+    data = fixture_share_price(3).data
+    data["param_space"] = {"dimensions": [
+        {"target": "transform:aggregate", "field": "cost_amount", "values": [1, 2, 4]},
+        {"target": "transform:recognize", "field": "cost_amount", "values": [3, 5, 8]},
+        {"target": "transform:plot", "field": "bins", "values": [64, 128]},
+    ]}
+    return data
+
+
+def _enum_bins_space(branch_only: bool = False) -> dict:
+    """``enum_fork_join`` with a ``bins`` dimension on its quantizer. Every
+    value but 4 changes what the quantizer branch delivers at the joint,
+    so the whole workflow fails the search; its quantizer branch alone,
+    X -> Q -> D, does not."""
+    data = enum_fork_join()
+    if branch_only:
+        edges = data["graph"]["edges"]
+        data["graph"]["edges"] = [e for e in edges if "G" not in (e["from"], e["to"])]
+    data["param_space"] = {"dimensions": [
+        {"target": "transform:bin", "field": "bins", "values": [2, 3, 4]},
+    ]}
+    return data
+
+
+# spec document, and the OPTIMIZE_COMMANDS run on it
+OPTIMIZE_SPECS = {
+    "share_price_r3": (_share_price_space, ["plain", "frontier", "greedy", "budget"]),
+    "enum_fork_join_bins": (_enum_bins_space, ["plain", "frontier"]),
+    "enum_branch_bins": (lambda: _enum_bins_space(branch_only=True), ["plain", "frontier"]),
 }
 NUMBER = re.compile(r"([-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?)")
 REL_TOL = 1e-12
@@ -56,6 +97,18 @@ def fixture_outputs(name: str) -> dict:
     path = f"{name}.json"
     Path(path).write_text(emit_spec(load_fixture(name).spec), encoding="utf-8")
     return {cmd: run(args + [path]) for cmd, args in COMMANDS.items()}
+
+
+def optimize_outputs() -> dict:
+    """Each ``OPTIMIZE_SPECS`` command's output, run from the current
+    directory, where each spec is written as ``<name>.json``."""
+    out = {}
+    for name, (document, commands) in OPTIMIZE_SPECS.items():
+        path = f"{name}.json"
+        Path(path).write_text(json.dumps(document(), indent=2) + "\n", encoding="utf-8")
+        for cmd in commands:
+            out[f"{name} {cmd}"] = run(OPTIMIZE_COMMANDS[cmd] + [path])
+    return out
 
 
 def same_tokens(recorded: str, actual: str) -> bool:
@@ -90,6 +143,16 @@ def test_fixture_commands(name, tmp_path, monkeypatch):
         assert_matches(recorded[cmd], actual[cmd])
 
 
+def test_optimize_commands(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("CBR_SEED", raising=False)
+    recorded = json.loads((GOLDEN / "optimize.json").read_text(encoding="utf-8"))
+    actual = optimize_outputs()
+    assert list(actual) == list(recorded)
+    for cmd, output in actual.items():
+        assert_matches(recorded[cmd], output)
+
+
 @pytest.mark.parametrize(
     "recorded, actual, same",
     [
@@ -111,6 +174,7 @@ def record() -> None:
         text = json.dumps(value, indent=1, ensure_ascii=False) + "\n"
         (GOLDEN / f"{name}.json").write_text(text, encoding="utf-8")
 
+    os.environ.pop("CBR_SEED", None)  # greedy search uses its documented default seed
     write("fixtures", run(["fixtures"]))
     cwd = os.getcwd()
     with tempfile.TemporaryDirectory() as tmp:
@@ -118,6 +182,7 @@ def record() -> None:
         try:
             for name in FIXTURE_NAMES:
                 write(name, fixture_outputs(name))
+            write("optimize", optimize_outputs())
         finally:
             os.chdir(cwd)
 

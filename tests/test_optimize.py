@@ -10,6 +10,7 @@ from cbr.optimize import (
     Dimension,
     ParamSpace,
     apply_assignment,
+    apply_dimension,
     evaluate,
     exhaustive_search,
     frontier_csv,
@@ -119,6 +120,27 @@ class TestApplyAssignment:
             chain_graph(), {("transform:t0", "declared_distortion_bits"): 0.0}
         )
         assert g.total_benefit().lo == pytest.approx((10 - 6) + (6 - 2 - 0.5))
+
+    @pytest.mark.parametrize(
+        "target, field, value",
+        [
+            ("transform:plot", "bins", None),
+            ("transform:plot", "bins", [1]),
+            ("transform:plot", "bins", 2.5),
+            ("transform:plot", "bins", True),
+            ("transform:aggregate", "window", 12.5),
+            ("transform:aggregate", "window", False),
+        ],
+    )
+    def test_bad_value_rejected_as_a_search_rejects_it(self, target, field, value):
+        """A value that is not an integer: null, a list, a fraction or a bool."""
+        g = fixture_share_price(1).build_graph()
+        with pytest.raises(ValueError) as by_dimension:
+            apply_dimension(g, Dimension(target, field, (value,)))
+        with pytest.raises(ValueError) as by_assignment:
+            apply_assignment(g, {(target, field): value})
+        assert str(by_assignment.value) == str(by_dimension.value)
+        assert str(by_assignment.value).startswith(f"bad value for {target}.{field}: ")
 
     def test_quantizer_bins_propagate_downstream(self):
         from cbr.alphabet import product

@@ -1,6 +1,7 @@
 import copy
 import json
 import math
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -386,6 +387,33 @@ class TestParamSpaceAtParse:
         with pytest.raises(SpecError) as exc:
             parse_spec(json.dumps(self.space(("transform:t", "cost_amount"), (target, "x"))))
         assert str(exc.value) == f"{message} at param_space.dimensions[1].target"
+
+    @pytest.mark.parametrize(
+        "bins, message",
+        [
+            (17, "bin has more bins than the 16 letters of its input"),
+            (10**7, "bin has more bins than the 16 letters of its input"),
+            (10**400, "bin has more bins than the 16 letters of its input"),
+            (2.5, "bad value for transform:bin.bins: 2.5 is not an integer"),
+            (True, "bad value for transform:bin.bins: True is not an integer"),
+        ],
+        ids=["17", "1e7", "400-digits", "2.5", "true"],
+    )
+    def test_enumerated_bins_bounded_by_letters(self, bins, message, tmp_path, capsys):
+        """``validate`` rejects a bin count that the quantized alphabet's
+        letters cannot fill before it builds any boundary."""
+        from cbr.cli import main
+
+        data = enum_fork_join()
+        data["param_space"] = {"dimensions": [
+            {"target": "transform:bin", "field": "bins", "values": [2, bins]},
+        ]}
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(data))
+        start = time.perf_counter()
+        assert main(["validate", str(path)]) == 1
+        assert time.perf_counter() - start < 1.0
+        assert capsys.readouterr() == ("", f"error: {message}\n")
 
     def test_duplicate_dimension_rejected(self):
         with pytest.raises(ValueError) as exc:

@@ -161,6 +161,26 @@ class TestAccumulation:
         ben = g.total_benefit(shared_mi_bits=6.0)
         assert ben.hi == pytest.approx(9 + 1)
 
+    @pytest.mark.parametrize("order", ["ab", "ba"])
+    @pytest.mark.parametrize("kind, hi", [("H", 12.0), ("M", 10.0)])
+    def test_parallel_edges_form_a_joint(self, order, kind, hi):
+        """X -> Y by two steps a and b, then Y -> Z: each of a and b is a
+        branch of the joint Y, whose fork is X, in either edge order."""
+        nodes = {"X": symbolic("X", 10.0), "Y": symbolic("Y", 2.0), "Z": symbolic("Z", 1.0)}
+        parallel = {
+            "a": Edge("X", "Y", declared("a", nodes["Y"], 1.0, kind, 1.0)),
+            "b": Edge("X", "Y", declared("b", nodes["Y"], 3.0, kind, 5.0)),
+        }
+        tail = Edge("Y", "Z", declared("d", nodes["Z"], 0.0, "H", 2.0))
+        g = WorkflowGraph(nodes, [parallel[name] for name in order] + [tail])
+        assert g._fork_of("Y") == ("X", frozenset({kind}))
+        # branches 10-2-1 = 7 and 10-2-3 = 5: from their max to their sum,
+        # and a machine joint capped at H(X) = 10; then 2-1 = 1 bit more
+        assert g.total_benefit() == Interval(7.0 + 1.0, hi + 1.0)
+        assert g.total_cost("sum").amount == 8.0
+        assert g.total_cost("max_parallel").amount == 5.0 + 2.0
+        assert not g.is_chain()
+
     def test_overall_cbr_scales_by_cost(self):
         g = sym_chain(["M", "V"], [10.0, 8.0, 5.0], costs=[2.0, 3.0])
         cbr = g.overall_cbr()
