@@ -2,7 +2,7 @@
 
 Three probability models are supported:
 
-* ``Enumerated`` -- an explicit letter set with a probability mass function.
+* ``Pmf`` -- an explicit letter set: its letter ids and their probabilities.
 * ``Symbolic`` -- bookkeeping for alphabets too large to enumerate; carries
   declared entropy and maximal entropy in bits.
 * ``Product`` -- ``count`` independent copies of a factor alphabet; entropy
@@ -12,7 +12,7 @@ All entropies are base-2 (bits).
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Mapping, NoReturn, Optional, Union
 
 import numpy as np
@@ -33,93 +33,102 @@ def _finite(what: str, *values) -> None:
     raise ValueError(f"{what} must be finite")
 
 
-def _reject(probs: Mapping[str, float]) -> NoReturn:
-    """Raise the error that ``Pmf`` reports for ``probs``: range, then sum."""
-    for lid, p in probs.items():
+def _reject(ids, values) -> NoReturn:
+    """Raise ``Pmf``'s error for probabilities ``values`` of ``ids``: range, then sum."""
+    for lid, p in zip(ids, values):
         if not (-PROB_TOL <= p <= 1.0 + PROB_TOL):
             raise ValueError(f"probability out of [0,1] for letter {lid!r}: {p}")
-    total = math.fsum(probs.values())
+    total = math.fsum(values)
     raise ValueError(f"pmf sums to {total}, outside tolerance {PROB_TOL}")
 
 
 class Pmf:
-    """Probability mass function over letter ids.
+    """Probability mass function: the letter ids in order, and their
+    probabilities as one read-only float64 vector aligned with them.
 
     Probabilities must lie in [0, 1] and sum to 1 within ``PROB_TOL``
     (absolute); sums within tolerance are renormalized exactly, anything
-    further off is an error.
+    further off is an error. ``Pmf(probs)`` takes a letter-id ->
+    probability map; ``Pmf.from_vector`` takes ids and a vector.
     """
 
-    __slots__ = ("_probs",)
+    __slots__ = ("ids", "vector", "_index")
 
     def __init__(self, probs: Mapping[str, float]):
         if not probs:
             raise ValueError("empty pmf")
+        self._validate(list(probs.values()), tuple(probs), None)
+
+    @classmethod
+    def from_vector(cls, ids: tuple, vector: np.ndarray) -> "Pmf":
+        """The pmf of letters ``ids`` whose probabilities are ``vector``."""
+        if not ids:
+            raise ValueError("empty pmf")
+        if len(set(ids)) != len(ids):
+            raise ValueError("duplicate letter ids")
+        pmf = cls.__new__(cls)
+        pmf._validate(vector.tolist(), tuple(ids), vector)
+        return pmf
+
+    def _validate(self, values: list, ids: tuple, vector: Optional[np.ndarray]) -> None:
+        """Check ``values`` (as ``vector``, if given) for ``ids``; keep them clamped and renormalized."""
         # Fast path: min/max bound every item at once. They can step over a
         # NaN, but a NaN makes the sum NaN and fails the sum test; either
         # failure falls back to the per-item check for the error message.
-        vals = probs.values()
-        lo, hi = min(vals), max(vals)
-        if not (-PROB_TOL <= lo and hi <= 1.0 + PROB_TOL):
-            _reject(probs)
-        total = math.fsum(vals)
-        if not abs(total - 1.0) <= PROB_TOL:
-            _reject(probs)
-        if lo >= 0.0 and hi <= 1.0:
-            self._probs = {lid: p / total for lid, p in probs.items()}
-        else:
-            self._probs = {lid: min(max(p, 0.0), 1.0) / total for lid, p in probs.items()}
+        lo, hi = min(values), max(values)
+        in_range = -PROB_TOL <= lo and hi <= 1.0 + PROB_TOL
+        if not (in_range and abs((total := math.fsum(values)) - 1.0) <= PROB_TOL):
+            _reject(ids, values)
+        v = np.array(values, dtype=np.float64) if vector is None else vector
+        if not (lo >= 0.0 and hi <= 1.0):
+            v = np.minimum(np.maximum(v, 0.0), 1.0)
+        v = v / total
+        v.setflags(write=False)
+        self.ids, self.vector, self._index = ids, v, None
+
+    def _positions(self) -> dict:
+        """Letter id -> its position in ``ids``, built on first use."""
+        if self._index is None:
+            self._index = {lid: j for j, lid in enumerate(self.ids)}
+        return self._index
+
+    def aligned(self, ids: tuple) -> np.ndarray:
+        """The probabilities of letters ``ids``, in that order; 0 for a
+        letter outside the support."""
+        if ids == self.ids:
+            return self.vector
+        index, n = self._positions(), len(self.ids)
+        at = np.fromiter((index.get(lid, n) for lid in ids), dtype=np.intp, count=len(ids))
+        return np.append(self.vector, 0.0)[at]
+
+    @property
+    def pmf(self) -> "Pmf":
+        """The pmf itself: an enumerated alphabet's model is its pmf."""
+        return self
 
     @property
     def probs(self) -> dict:
-        return dict(self._probs)
+        return dict(zip(self.ids, self.vector.tolist()))
 
     def __getitem__(self, lid: str) -> float:
-        return self._probs[lid]
-
-    def get(self, lid: str, default: float = 0.0) -> float:
-        return self._probs.get(lid, default)
+        return self.vector.item(self._positions()[lid])
 
     def __iter__(self):
-        return iter(self._probs)
+        return iter(self.ids)
 
     def __len__(self):
-        return len(self._probs)
+        return len(self.ids)
 
     def items(self):
-        return self._probs.items()
+        return self.probs.items()
 
     def __eq__(self, other):
         if not isinstance(other, Pmf):
             return NotImplemented
-        return self._probs == other._probs
+        return self.probs == other.probs
 
     def __repr__(self):
-        return f"Pmf({self._probs!r})"
-
-
-@dataclass(frozen=True)
-class Enumerated:
-    """An explicit letter set: letter ids in order, and their pmf.
-
-    ``vector`` holds the probabilities aligned with ``ids``, built once
-    here and read-only.
-    """
-
-    ids: tuple
-    pmf: Pmf
-    vector: np.ndarray = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        ids = set(self.ids)
-        if len(ids) != len(self.ids):
-            raise ValueError("duplicate letter ids")
-        probs = self.pmf._probs
-        if ids != probs.keys():
-            raise ValueError("pmf support does not match letter set")
-        v = np.fromiter(map(probs.__getitem__, self.ids), dtype=np.float64, count=len(self.ids))
-        v.setflags(write=False)
-        object.__setattr__(self, "vector", v)
+        return f"Pmf({self.probs!r})"
 
 
 @dataclass(frozen=True)
@@ -146,7 +155,7 @@ class Product:
         _finite("factor count", self.count)
 
 
-Model = Union[Enumerated, Symbolic, Product]
+Model = Union[Pmf, Symbolic, Product]
 
 
 @dataclass(frozen=True)
@@ -158,7 +167,7 @@ class Alphabet:
 
     @property
     def is_enumerated(self) -> bool:
-        return isinstance(self.model, Enumerated)
+        return isinstance(self.model, Pmf)
 
     def letter_ids(self) -> tuple:
         if not self.is_enumerated:
@@ -167,15 +176,14 @@ class Alphabet:
 
     def prob_vector(self) -> np.ndarray:
         """Probabilities aligned with ``letter_ids()`` order (read-only)."""
-        m = self.model
-        if not isinstance(m, Enumerated):
+        if not self.is_enumerated:
             raise ValueError("mode mismatch: alphabet is not enumerated")
-        return m.vector
+        return self.model.vector
 
 
 def enumerated(name: str, probs: Mapping[str, float]) -> Alphabet:
     """Build an enumerated alphabet from a letter-id -> probability map."""
-    return Alphabet(name, Enumerated(tuple(probs), Pmf(probs)))
+    return Alphabet(name, Pmf(probs))
 
 
 def uniform(name: str, letter_ids) -> Alphabet:
@@ -192,8 +200,8 @@ def symbolic(name: str, entropy_bits: float, max_entropy_bits: Optional[float] =
 def entropy(a: Alphabet) -> float:
     """Shannon entropy in bits, with 0*log2(0) := 0."""
     m = a.model
-    if isinstance(m, Enumerated):
-        return _kernels.entropy_bits(a.prob_vector())
+    if isinstance(m, Pmf):
+        return _kernels.entropy_bits(m.vector)
     if isinstance(m, Symbolic):
         return m.entropy_bits
     return m.count * entropy(m.factor)
@@ -202,7 +210,7 @@ def entropy(a: Alphabet) -> float:
 def max_entropy(a: Alphabet) -> float:
     """Entropy under the uniform distribution: log2 of the cardinality."""
     m = a.model
-    if isinstance(m, Enumerated):
+    if isinstance(m, Pmf):
         return math.log2(len(m.ids))
     if isinstance(m, Symbolic):
         return m.max_entropy_bits
@@ -219,13 +227,13 @@ def product(a: Alphabet, count: int, name: Optional[str] = None) -> Alphabet:
 def restrict(a: Alphabet, subset, name: Optional[str] = None) -> Alphabet:
     """Condition an enumerated alphabet on a subset of its letters."""
     m = a.model
-    if not isinstance(m, Enumerated):
+    if not isinstance(m, Pmf):
         raise ValueError("mode mismatch: restrict requires an enumerated alphabet")
     subset = set(subset)
     if not subset or not subset <= set(m.ids):
         raise ValueError("unconditionable subset")
-    mass = math.fsum(m.pmf[lid] for lid in subset)
+    mass = math.fsum(m[lid] for lid in subset)
     if mass <= 0.0:
         raise ValueError("unconditionable subset")
-    probs = {lid: m.pmf[lid] / mass for lid in m.ids if lid in subset}
+    probs = {lid: m[lid] / mass for lid in m.ids if lid in subset}
     return enumerated(name or f"{a.name}|{len(subset)}", probs)

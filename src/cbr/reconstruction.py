@@ -81,7 +81,7 @@ def impression(g: Reconstruction, t: Transform, input: Alphabet) -> Impression:
     """
     _check_impression(g, t, input)
     v = _impression_vector(g, Step(t, input))
-    return Impression(input, Pmf(dict(zip(input.letter_ids(), v.tolist()))))
+    return Impression(input, Pmf.from_vector(input.letter_ids(), v))
 
 
 def _check_impression(g: Reconstruction, t: Transform, input: Alphabet) -> None:
@@ -109,8 +109,7 @@ def _impression_vector(g: Reconstruction, step: Step) -> np.ndarray:
     elif isinstance(kind, UniformPreimage):
         w = np.ones(len(p))
     else:  # PriorWeighted
-        ids = input.letter_ids()
-        w = np.fromiter(map(kind.prior.get, ids), dtype=np.float64, count=len(ids))
+        w = kind.prior.aligned(input.letter_ids())
     q = np.bincount(codes, weights=p, minlength=len(out_ids))
     mass = np.bincount(codes, weights=w, minlength=len(out_ids))
     live = q > 0.0  # an output letter of probability 0 adds nothing
@@ -129,12 +128,9 @@ def kl_divergence(p: Pmf, q: Pmf, smooth: bool = False) -> float:
     case q is floored at ``SMOOTHING_FLOOR`` over the union support and
     renormalized.
     """
-    keys = list(q)
-    qset = set(keys)
-    keys += [k for k in p if k not in qset]
-    pv = np.array([p.get(k) for k in keys], dtype=np.float64)
-    qv = np.array([q.get(k) for k in keys], dtype=np.float64)
-    return _kl_vectors(pv, qv, smooth)
+    qset = set(q.ids)
+    ids = q.ids + tuple(k for k in p.ids if k not in qset)
+    return _kl_vectors(p.aligned(ids), q.aligned(ids), smooth)
 
 
 def _kl_vectors(pv: np.ndarray, qv: np.ndarray, smooth: bool) -> float:

@@ -17,7 +17,6 @@ from . import _kernels
 from .alphabet import (
     PROB_TOL,
     Alphabet,
-    Enumerated,
     Pmf,
     Product,
     Symbolic,
@@ -243,7 +242,7 @@ class Step:
         if self.codes is not None:
             # bincount adds in input order, like a running sum per output letter
             q = np.bincount(self.codes, weights=input.prob_vector(), minlength=len(self.out_ids))
-            return Alphabet(name, Enumerated(self.out_ids, Pmf(dict(zip(self.out_ids, q.tolist())))))
+            return Alphabet(name, Pmf.from_vector(self.out_ids, q))
 
         if isinstance(k, DeclaredHuman):
             return k.output
@@ -273,13 +272,7 @@ class Step:
         if isinstance(k, Channel):
             if not input.is_enumerated:
                 raise ValueError("mode mismatch: channel requires an enumerated alphabet")
-            ids = input.letter_ids()
-            if set(ids) != set(k.inputs):
-                raise ValueError("partial mapping: channel inputs do not match alphabet")
-            p = np.array([input.model.pmf[i] for i in k.inputs])
-            q = p @ k.as_array()
-            probs = {o: float(q[j]) for j, o in enumerate(k.outputs)}
-            return Alphabet(name, Enumerated(tuple(k.outputs), Pmf(probs)))
+            return Alphabet(name, Pmf.from_vector(k.outputs, _channel_input(k, input) @ k.as_array()))
 
         raise ValueError("mode mismatch: transform is not deterministic")
 
@@ -315,17 +308,20 @@ def pushforward(t: Transform, input: Alphabet, name: Optional[str] = None) -> Al
     return Step(t, input).output(name)
 
 
+def _channel_input(k: Channel, input: Alphabet) -> np.ndarray:
+    """The input's probabilities aligned with the channel's ``inputs``."""
+    if set(input.letter_ids()) != set(k.inputs):
+        raise ValueError("partial mapping: channel inputs do not match alphabet")
+    return input.model.aligned(k.inputs)
+
+
 def joint_distribution(t: Transform, input: Alphabet) -> tuple:
     """(joint matrix, input ids, output ids) of input and pushed-forward output."""
     if not input.is_enumerated:
         raise ValueError("requires enumerated model")
     k = t.kind
     if isinstance(k, Channel):
-        ids = input.letter_ids()
-        if set(ids) != set(k.inputs):
-            raise ValueError("partial mapping: channel inputs do not match alphabet")
-        p = np.array([input.model.pmf[i] for i in k.inputs])
-        joint = p[:, None] * k.as_array()
+        joint = _channel_input(k, input)[:, None] * k.as_array()
         return joint, tuple(k.inputs), tuple(k.outputs)
     if isinstance(k, (Grouping, Quantizer)):
         codes, out_ids = deterministic_codes(t, input)

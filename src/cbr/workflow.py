@@ -94,13 +94,9 @@ def _alphabets_close(a: Alphabet, b: Alphabet) -> bool:
         return False
     if a.is_enumerated:
         ids_a, ids_b = a.letter_ids(), b.letter_ids()
-        pb = b.prob_vector()
-        if ids_a != ids_b:
-            if len(ids_a) != len(ids_b) or set(ids_a) != set(ids_b):
-                return False
-            index = {lid: j for j, lid in enumerate(ids_b)}
-            pb = pb[np.fromiter(map(index.__getitem__, ids_a), dtype=np.intp, count=len(ids_a))]
-        return bool(np.all(np.abs(a.prob_vector() - pb) <= 1e-9))
+        if ids_a != ids_b and (len(ids_a) != len(ids_b) or set(ids_a) != set(ids_b)):
+            return False
+        return bool(np.all(np.abs(a.prob_vector() - b.model.aligned(ids_a)) <= 1e-9))
     return (
         abs(entropy(a) - entropy(b)) <= 1e-6
         and abs(max_entropy(a) - max_entropy(b)) <= 1e-6
@@ -190,9 +186,6 @@ class WorkflowGraph:
                 if e.src in between and e.dst in between
             )
             self._joints[n] = fork, kinds
-        self._hops: dict = {}  # (src, dst) -> index of the first such edge
-        for i, e in enumerate(self.edges):
-            self._hops.setdefault((e.src, e.dst), i)
         self._terms_cache: dict = {}
 
     # -- structure helpers ------------------------------------------------
@@ -374,14 +367,19 @@ class WorkflowGraph:
         return b, c
 
     def path_terms(self, node_path: list, entropy_mode: str = "actual"):
-        """Yield (edge, H(in), H(out), D_KL) for each hop of a node path,
-        taking the first edge of each hop; a hop with no edge raises when
-        it is reached."""
+        """Yield (edge, H(in), H(out), D_KL) for each hop of a node path; a
+        hop with no edge, or with parallel edges, which a node path cannot
+        tell apart, raises when it is reached."""
         for src, dst in zip(node_path, node_path[1:]):
-            i = self._hops.get((src, dst))
-            if i is None:
+            hop = [e for e in self._out.get(src, ()) if e.dst == dst]
+            if not hop:
                 raise ValueError(f"no edge {src}->{dst}")
-            yield (self.edges[i], *self._terms(i, entropy_mode))
+            if len(hop) > 1:
+                names = ", ".join(sorted(e.transform.name for e in hop))
+                raise ValueError(f"hop {src}->{dst} has parallel edges {names}: "
+                                 "a node path does not choose one")
+            # list.index finds hop[0] itself: an equal edge would share its hop
+            yield (hop[0], *self._terms(self.edges.index(hop[0]), entropy_mode))
 
     # -- classification ---------------------------------------------------
 

@@ -82,3 +82,105 @@ def prior_weighted_impression_oracle(mapping: dict, pmf: dict, prior: dict) -> d
         for x in xs:
             imp[x] += qy * prior[x] / mass
     return imp
+
+
+def workflow_oracle(nodes: dict, edges: list, decisional: str) -> dict:
+    """Benefit interval and total cost of a workflow, from first principles.
+
+    ``nodes`` maps each node to its pmf (letter -> probability). Each edge
+    is a dict with ``src``, ``dst``, its node ``kind``, its ``cost`` amount
+    and ``d``, its distortion in bits.
+
+    An edge's benefit is H(src) - H(dst) - d, with H the entropy
+    ("actual") or log2 of the letter count ("maximal"). A source node
+    holds [0, 0]; a node with one in-edge holds its source's interval plus
+    that benefit. A node with two or more in-edges, parallel ones
+    included, is a joint. Its fork is a lowest common ancestor of the
+    in-edges' sources (each counted as its own ancestor): a common
+    ancestor from which no other common ancestor can be reached; a joint
+    whose sources share no ancestor is an error. Each arriving branch
+    brings its source's interval plus the edge's benefit, less the fork's
+    interval, bound by bound; the joint holds the fork's interval plus
+    [max of the branches' lo, sum of their hi]. When every edge between
+    fork and joint is a machine ("M") edge, that hi is capped at H(fork),
+    and lo is at most hi.
+
+    Fork rule: where a joint has more than one lowest common ancestor, the
+    rule does not choose, and the result holds the interval for each
+    choice.
+
+    The cost under "sum" adds every edge's cost; under "max_parallel" it
+    is the costliest path from a source to ``decisional``.
+
+    Returns {"benefit": {mode: set of (lo, hi)}, "cost": {merge: amount}}.
+    """
+    into = {v: [e for e in edges if e["dst"] == v] for v in nodes}
+    outof = {v: [e for e in edges if e["src"] == v] for v in nodes}
+
+    def reach(v: str, step: dict, key: str) -> set:
+        """``v`` and every node reached from it along ``step``, by DFS."""
+        seen, stack = {v}, [v]
+        while stack:
+            for e in step[stack.pop()]:
+                if e[key] not in seen:
+                    seen.add(e[key])
+                    stack.append(e[key])
+        return seen
+
+    ancestors = {v: reach(v, into, "src") for v in nodes}
+    descendants = {v: reach(v, outof, "dst") for v in nodes}
+    order = sorted(nodes, key=lambda v: len(ancestors[v]))  # an ancestor has fewer
+
+    forks = {}
+    for v in nodes:
+        if len(into[v]) < 2:
+            continue
+        common = set.intersection(*(ancestors[e["src"]] for e in into[v]))
+        lowest = [c for c in common if not any(o in descendants[c] for o in common - {c})]
+        if not lowest:
+            raise ValueError(f"no common ancestor for joint {v}")
+        forks[v] = lowest
+
+    def machine_only(fork: str, joint: str) -> bool:
+        between = descendants[fork] & ancestors[joint]
+        return all(e["kind"] == "M" for e in edges if e["src"] in between and e["dst"] in between)
+
+    entropies = {
+        "actual": {v: entropy_oracle(p.values()) for v, p in nodes.items()},
+        "maximal": {v: math.log2(len(p)) for v, p in nodes.items()},
+    }
+    benefit = {}
+    for mode, h in entropies.items():
+        results = set()
+
+        def accumulate(i: int, acc: dict) -> None:
+            """Fill ``acc`` from ``order[i]`` on, once per choice of forks."""
+            if i == len(order):
+                results.add(acc[decisional])
+                return
+            v = order[i]
+            arriving = [(acc[e["src"]], h[e["src"]] - h[e["dst"]] - e["d"]) for e in into[v]]
+            if not arriving:
+                accumulate(i + 1, {**acc, v: (0.0, 0.0)})
+            elif len(arriving) == 1:
+                (lo, hi), b = arriving[0]
+                accumulate(i + 1, {**acc, v: (lo + b, hi + b)})
+            else:
+                for fork in forks[v]:
+                    base_lo, base_hi = acc[fork]
+                    lo = max(lo + b - base_lo for (lo, _), b in arriving)
+                    hi = math.fsum(hi + b - base_hi for (_, hi), b in arriving)
+                    if machine_only(fork, v):
+                        hi = min(hi, h[fork])
+                    accumulate(i + 1, {**acc, v: (base_lo + min(lo, hi), base_hi + hi)})
+
+        accumulate(0, {})
+        benefit[mode] = results
+
+    dearest = {}
+    for v in order:
+        dearest[v] = max((dearest[e["src"]] + e["cost"] for e in into[v]), default=0.0)
+    return {
+        "benefit": benefit,
+        "cost": {"sum": math.fsum(e["cost"] for e in edges), "max_parallel": dearest[decisional]},
+    }

@@ -47,6 +47,89 @@ class TestPmf:
         assert p["b"] == 0.0 and 0.0 <= p["a"] <= 1.0
 
 
+# letter -> probability, and the float.hex of the pmf's probabilities in
+# letter order: validated, clamped and renormalised by the fsum total
+RECORDED_PMFS = {
+    "plain": ({"b": 0.2, "a": 0.3, "c": 0.5},
+              ["0x1.999999999999ap-3", "0x1.3333333333333p-2", "0x1.0000000000000p-1"]),
+    "renormalised": ({"a": 0.5 + 4e-10, "b": 0.5}, ["0x1.00000001b7ce0p-1", "0x1.fffffffc90640p-2"]),
+    "clamped": ({"a": 1.0 + 5e-10, "b": -5e-10}, ["0x1.0000000000000p+0", "0x0.0p+0"]),
+    "ratios": ({f"r{i}": (i + 1) / 153 for i in reversed(range(17))}, [
+        "0x1.c71c71c71c71cp-4", "0x1.ac5701ac5701bp-4", "0x1.9191919191919p-4",
+        "0x1.76cc2176cc217p-4", "0x1.5c06b15c06b16p-4", "0x1.4141414141414p-4",
+        "0x1.267bd1267bd12p-4", "0x1.0bb6610bb6611p-4", "0x1.e1e1e1e1e1e1ep-5",
+        "0x1.ac5701ac5701bp-5", "0x1.76cc2176cc217p-5", "0x1.4141414141414p-5",
+        "0x1.0bb6610bb6611p-5", "0x1.ac5701ac5701bp-6", "0x1.4141414141414p-6",
+        "0x1.ac5701ac5701bp-7", "0x1.ac5701ac5701bp-8"]),
+}
+
+# invalid pmfs and the error each raises
+INVALID_PMFS = {
+    "empty": ({}, "empty pmf"),
+    "nan": ({"a": math.nan, "b": 0.5}, "probability out of [0,1] for letter 'a': nan"),
+    "inf": ({"a": 0.5, "b": math.inf}, "probability out of [0,1] for letter 'b': inf"),
+    "above": ({"a": 1.2, "b": -0.2}, "probability out of [0,1] for letter 'a': 1.2"),
+    "below": ({"a": 0.5, "b": -2e-9, "c": 0.5}, "probability out of [0,1] for letter 'b': -2e-09"),
+    "sum": ({"a": 0.5, "b": 0.4}, "pmf sums to 0.9, outside tolerance 1e-09"),
+    "sum_just_off": ({"a": 0.5, "b": 0.5 + 2e-9},
+                     "pmf sums to 1.0000000020000002, outside tolerance 1e-09"),
+}
+
+
+class TestPmfContract:
+    @pytest.mark.parametrize("name", RECORDED_PMFS)
+    def test_recorded_probabilities(self, name):
+        probs, recorded = RECORDED_PMFS[name]
+        a = enumerated("a", probs)
+        assert a.letter_ids() == tuple(probs)
+        assert [v.hex() for v in a.prob_vector().tolist()] == recorded
+        assert [a.model.pmf[i].hex() for i in probs] == recorded
+
+    @pytest.mark.parametrize("name", INVALID_PMFS)
+    def test_recorded_errors(self, name):
+        probs, message = INVALID_PMFS[name]
+        with pytest.raises(ValueError) as exc:
+            Pmf(probs)
+        assert str(exc.value) == message
+
+    @pytest.mark.parametrize("name", RECORDED_PMFS)
+    def test_vector_route_equals_dict_route(self, name):
+        probs, recorded = RECORDED_PMFS[name]
+        a = Pmf(probs)
+        b = Pmf.from_vector(tuple(probs), np.array(list(probs.values())))
+        assert a.ids == b.ids == tuple(probs)
+        assert [v.hex() for v in a.vector.tolist()] == [v.hex() for v in b.vector.tolist()] == recorded
+        assert a == b
+        assert not a.vector.flags.writeable and not b.vector.flags.writeable
+
+    @pytest.mark.parametrize("name", INVALID_PMFS)
+    def test_vector_route_errors(self, name):
+        probs, message = INVALID_PMFS[name]
+        with pytest.raises(ValueError) as exc:
+            Pmf.from_vector(tuple(probs), np.array(list(probs.values()), dtype=np.float64))
+        assert str(exc.value) == message
+
+    def test_vector_route_rejects_duplicate_ids(self):
+        with pytest.raises(ValueError, match="^duplicate letter ids$"):
+            Pmf.from_vector(("y", "y"), np.array([0.5, 0.5]))
+
+    def test_aligned(self):
+        p = Pmf({"b": 0.25, "a": 0.75})
+        assert p.aligned(p.ids) is p.vector
+        assert p.aligned(("a", "z", "b")).tolist() == [0.75, 0.0, 0.25]
+
+    def test_integer_too_large_for_a_float(self):
+        with pytest.raises(ValueError, match=f"for letter 'a': {10 ** 400}$"):
+            Pmf({"a": 10 ** 400, "b": 0.0})
+
+    def test_equality_ignores_letter_order(self):
+        probs = RECORDED_PMFS["ratios"][0]
+        assert Pmf(probs) == Pmf(dict(reversed(probs.items())))
+        assert Pmf(probs) != Pmf({**probs, "r0": 0.0, "r1": probs["r0"] + probs["r1"]})
+        assert Pmf({"a": 1.0}) != Pmf({"a": 1.0, "b": 0.0})
+        assert repr(Pmf({"b": 0.25, "a": 0.75})) == "Pmf({'b': 0.25, 'a': 0.75})"
+
+
 class TestEntropy:
     def test_uniform_eight_letters(self):
         assert entropy(uniform("u8", [str(i) for i in range(8)])) == pytest.approx(3.0)

@@ -1,9 +1,11 @@
-"""Recorded CLI outputs for the six bundled fixtures and for ``cbr optimize``.
+"""Recorded CLI outputs for the six bundled fixtures, for the enumerated
+workflows of ``ENUM_SPECS`` and for ``cbr optimize``.
 
 ``cbr fixtures``, and ``validate``, ``analyze``, ``analyze --json`` and
 ``report --format csv|dot`` on each fixture's spec file, are compared
-with the outputs kept in ``tests/golden/``, and so is ``cbr optimize``
-on the parameter spaces of ``OPTIMIZE_SPECS``: the exit code and standard
+with the outputs kept in ``tests/golden/``; so are those commands and
+``analyze --mode maximal --json`` on each ``ENUM_SPECS`` workflow, and
+``cbr optimize`` on the parameter spaces of ``OPTIMIZE_SPECS``: the exit code and standard
 error exactly, standard output token by token. A token that reads as a
 number may differ from the recorded one by 1e-12 relative, so that a
 last-bit difference in ``log2`` between machines does not fail the test;
@@ -37,11 +39,65 @@ COMMANDS = {
     "report csv": ["report", "--format", "csv"],
     "report dot": ["report", "--format", "dot"],
 }
+ENUM_COMMANDS = {**COMMANDS, "analyze maximal --json": ["analyze", "--mode", "maximal", "--json"]}
 OPTIMIZE_COMMANDS = {
     "plain": ["optimize"],
     "frontier": ["optimize", "--frontier"],
     "greedy": ["optimize", "--greedy", "--restarts", "3"],
     "budget": ["optimize", "--budget", "12"],
+}
+
+
+def _node_reordered() -> dict:
+    """``enum_fork_join`` whose node G lists its letters in reverse, not in
+    the order in which the grouping ``pair`` first reaches them."""
+    data = enum_fork_join()
+    g = data["alphabets"][1]["model"]
+    g["probs"] = dict(reversed(g["probs"].items()))
+    return data
+
+
+def _prior_reordered() -> dict:
+    """``enum_fork_join`` whose quantizer is scored by a prior that is not
+    uniform and lists X's letters in reverse."""
+    data = enum_fork_join()
+    prior = data["reconstructions"][1]["kind"]
+    prior["prior"] = {str(i): (16 - i) / 136 for i in reversed(range(16))}
+    return data
+
+
+def _channel_reordered() -> dict:
+    """``enum_fork_join`` plus a channel X -> C, scored by a declared
+    reconstruction, whose ``inputs`` list X's letters in reverse; a declared
+    step C -> D makes D a joint of three branches."""
+    data = enum_fork_join()
+    p_x = data["alphabets"][0]["model"]["probs"]
+    inputs = [str(i) for i in reversed(range(16))]
+    rows = [[(i % 4) / 6, (3 - i % 4) / 6, 0.5] for i in range(16)]
+    p_c = [math.fsum(p_x[x] * row[j] for x, row in zip(inputs, rows)) for j in range(3)]
+    data["alphabets"].append({"name": "C", "model": {"type": "enumerated", "probs": dict(
+        zip(["c0", "c1", "c2"], p_c))}})
+    data["transforms"] += [
+        {"name": "blur", "node_kind": "M", "cost": {"kind": "time", "amount": 1.0, "unit": "s"},
+         "kind": {"type": "channel", "inputs": inputs, "outputs": ["c0", "c1", "c2"], "matrix": rows}},
+        {"name": "read", "node_kind": "H", "cost": {"kind": "time", "amount": 3.0, "unit": "s"},
+         "kind": {"type": "declared", "output": "D", "distortion_bits": 0.125}},
+    ]
+    data["reconstructions"].append({"name": "blur_declared", "kind": {"type": "declared", "bits": 0.25}})
+    data["graph"]["edges"] += [
+        {"from": "X", "to": "C", "transform": "blur", "reconstruction": "blur_declared"},
+        {"from": "C", "to": "D", "transform": "read"},
+    ]
+    return data
+
+
+# enumerated workflows whose letters come in more than one order, each run
+# under every ENUM_COMMANDS command
+ENUM_SPECS = {
+    "enum_fork_join": enum_fork_join,
+    "enum_node_reordered": _node_reordered,
+    "enum_prior_reordered": _prior_reordered,
+    "enum_channel_reordered": _channel_reordered,
 }
 
 
@@ -99,6 +155,18 @@ def fixture_outputs(name: str) -> dict:
     return {cmd: run(args + [path]) for cmd, args in COMMANDS.items()}
 
 
+def enum_outputs() -> dict:
+    """Each ``ENUM_SPECS`` workflow's ``ENUM_COMMANDS`` outputs, run from
+    the current directory, where each spec is written as ``<name>.json``."""
+    out = {}
+    for name, document in ENUM_SPECS.items():
+        path = f"{name}.json"
+        Path(path).write_text(json.dumps(document(), indent=2) + "\n", encoding="utf-8")
+        for cmd, args in ENUM_COMMANDS.items():
+            out[f"{name} {cmd}"] = run(args + [path])
+    return out
+
+
 def optimize_outputs() -> dict:
     """Each ``OPTIMIZE_SPECS`` command's output, run from the current
     directory, where each spec is written as ``<name>.json``."""
@@ -143,6 +211,15 @@ def test_fixture_commands(name, tmp_path, monkeypatch):
         assert_matches(recorded[cmd], actual[cmd])
 
 
+def test_enum_commands(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    recorded = json.loads((GOLDEN / "enumerated.json").read_text(encoding="utf-8"))
+    actual = enum_outputs()
+    assert list(actual) == list(recorded)
+    for cmd, output in actual.items():
+        assert_matches(recorded[cmd], output)
+
+
 def test_optimize_commands(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     monkeypatch.delenv("CBR_SEED", raising=False)
@@ -182,6 +259,7 @@ def record() -> None:
         try:
             for name in FIXTURE_NAMES:
                 write(name, fixture_outputs(name))
+            write("enumerated", enum_outputs())
             write("optimize", optimize_outputs())
         finally:
             os.chdir(cwd)

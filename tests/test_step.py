@@ -6,7 +6,8 @@ and reconstruction: which value each returns, or which error it raises
 first. The expected outcomes are written out as a table of rules; the
 values are checked against the naive oracles. Second, a property over
 random workflows: on every edge, the graph's terms equal the public
-functions' and the oracles'.
+functions' and the oracles', and the whole workflow's benefit and cost
+equal ``workflow_oracle``'s.
 """
 
 import math
@@ -44,6 +45,7 @@ from oracles import (
     prior_weighted_impression_oracle,
     pushforward_oracle,
     uniform_preimage_impression_oracle,
+    workflow_oracle,
 )
 
 COST = CostRecord("time", 2.0, "s")
@@ -455,9 +457,25 @@ def test_graph_path_equals_public_path_and_oracles(workflow):
             assert m == step_metrics(e.transform, e.reconstruction, x, y, mode)
             h_in, h_out, d = h(nodes[s["src"]]), h(nodes[s["dst"]]), distortion_oracle(s, nodes)
             assert close(m.benefit_bits, h_in - h_out - d)
-            [(first, *terms)] = graph.path_terms([s["src"], s["dst"]], mode)
-            if first is e:  # path_terms reads the first edge of a repeated pair
-                assert all(map(close, terms, (h_in, h_out, d)))
+            hop = [s["src"], s["dst"]]
+            if sum(t["src"] == s["src"] and t["dst"] == s["dst"] for t in steps) > 1:
+                with pytest.raises(ValueError, match="parallel edges"):
+                    list(graph.path_terms(hop, mode))
+            else:
+                [(first, *terms)] = graph.path_terms(hop, mode)
+                assert first is e and all(map(close, terms, (h_in, h_out, d)))
+    oracle = workflow_oracle(
+        nodes,
+        [dict(src=s["src"], dst=s["dst"], kind=edges[s["name"]].transform.node_kind,
+              cost=COST.amount, d=distortion_oracle(s, nodes)) for s in steps],
+        graph.decisional,
+    )
+    for mode in ENTROPY_ORACLES:
+        ben = graph.total_benefit(mode)
+        assert any(close(ben.lo, lo) and close(ben.hi, hi) for lo, hi in oracle["benefit"][mode])
+    for merge, amount in oracle["cost"].items():
+        if steps:  # a workflow with no edge has no cost kind, and no total
+            assert close(graph.cost_amounts(merge), amount)
     for s in steps:
         if s["map"] is None:
             continue

@@ -87,6 +87,19 @@ class TestPushforward:
         out = pushforward(bsc, enumerated("in", {"0": 0.9, "1": 0.1}))
         assert out.model.pmf["0"] == pytest.approx(0.9 * 0.75 + 0.1 * 0.25)
 
+    def test_channel_inputs_in_another_order(self):
+        rows = ((0.75, 0.25), (0.5, 0.5), (0.125, 0.875))
+        a = enumerated("in", {"x": 0.5, "y": 0.3, "z": 0.2})
+        ordered = Transform("c", Channel(("x", "y", "z"), ("0", "1"), rows), COST)
+        reversed_ = Transform("c", Channel(("z", "y", "x"), ("0", "1"), rows[::-1]), COST)
+        assert pushforward(reversed_, a) == pushforward(ordered, a)
+        assert mutual_information(reversed_, a) == pytest.approx(mutual_information(ordered, a))
+
+    def test_channel_repeated_output_letter(self):
+        t = Transform("c", Channel(("a", "b"), ("y", "y"), ((0.5, 0.5), (0.5, 0.5))), COST)
+        with pytest.raises(ValueError, match="^duplicate letter ids$"):
+            pushforward(t, enumerated("in", {"a": 0.5, "b": 0.5}))
+
     def test_quantizer_enumerated_bins(self):
         a = enumerated("vals", {"0.5": 0.25, "1.5": 0.25, "2.5": 0.25, "4.0": 0.25})
         t = Transform("q", Quantizer(2, (0.0, 2.0, 4.0)), COST, "M")

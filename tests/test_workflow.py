@@ -181,6 +181,24 @@ class TestAccumulation:
         assert g.total_cost("max_parallel").amount == 5.0 + 2.0
         assert not g.is_chain()
 
+    @pytest.mark.parametrize("order", ["ab", "ba"])
+    def test_node_path_through_parallel_edges_rejected(self, order):
+        """A node path names no edge of a parallel pair, so a hop through
+        one is an error, the same in either edge order."""
+        nodes = {"X": symbolic("X", 10.0), "Y": symbolic("Y", 4.0), "Z": symbolic("Z", 1.0)}
+        parallel = {
+            "a": Edge("X", "Y", declared("a", nodes["Y"], 1.0, "H")),
+            "b": Edge("X", "Y", declared("b", nodes["Y"], 3.0, "H")),
+        }
+        tail = Edge("Y", "Z", declared("d", nodes["Z"], 0.0, "H", 2.0))
+        g = WorkflowGraph(nodes, [parallel[name] for name in order] + [tail])
+        message = "^hop X->Y has parallel edges a, b: a node path does not choose one$"
+        with pytest.raises(ValueError, match=message):
+            g.path_metrics(["X", "Y", "Z"])
+        with pytest.raises(ValueError, match=message):
+            list(g.path_terms(["X", "Y"]))
+        assert g.path_metrics(["Y", "Z"]) == (3.0, 2.0)
+
     def test_overall_cbr_scales_by_cost(self):
         g = sym_chain(["M", "V"], [10.0, 8.0, 5.0], costs=[2.0, 3.0])
         cbr = g.overall_cbr()
