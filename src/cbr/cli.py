@@ -116,6 +116,8 @@ def _cmd_optimize(args) -> int:
         for (target, field), value in sorted(result.best_assignment.items())
     }
     print(f"evaluations: {result.evaluations}")
+    if result.skipped:
+        print(f"skipped: {result.skipped} (first: {result.first_skip})")
     print(f"certified global optimum: {result.certified}")
     print(f"best assignment: {json.dumps(assignment)}")
     print(f"best cost: {result.best_cost:g}")

@@ -22,10 +22,9 @@ from .transform import (
     DeclaredHuman,
     Quantizer,
     Transform,
-    pushforward,
 )
 from .reconstruction import DeclaredDivergence, Reconstruction
-from .workflow import Edge, Interval, WorkflowGraph
+from .workflow import AlphabetMismatch, Edge, Interval, WorkflowGraph
 
 DEFAULT_SEED = 0x9E3779B97F4A7C15  # documented fixed seed; override with CBR_SEED
 EXHAUSTIVE_CAP = 10**6
@@ -79,6 +78,8 @@ class OptimizeResult:
     evaluations: int
     certified: bool
     records: list = field(default_factory=list)  # (assignment, cost, benefit, cbr)
+    skipped: int = 0  # assignments whose branches disagree at a joint: no record
+    first_skip: str = ""  # the first one's mismatch
 
 
 def _seed() -> int:
@@ -169,10 +170,10 @@ def apply_dimension(g: WorkflowGraph, d: Dimension) -> list:
 
 
 def apply_assignment(g: WorkflowGraph, assignment: dict) -> WorkflowGraph:
-    """Rebuild the graph with parameters applied, propagating alphabets.
+    """Rebuild the graph with parameters applied.
 
-    Source and declared-output alphabets are kept; every other node is
-    recomputed by pushforward so parameter changes flow downstream.
+    Sources keep their alphabets; every node that an edge feeds is derived
+    again by the new graph, so parameter changes flow downstream.
     """
     edges = []
     for e in g.edges:
@@ -188,17 +189,9 @@ def apply_assignment(g: WorkflowGraph, assignment: dict) -> WorkflowGraph:
         if enabled:
             edges.append(e)
 
-    # propagate alphabets from sources in topological order
-    used = {e.src for e in edges} | {e.dst for e in edges} | {g.decisional}
-    nodes = {n: a for n, a in g.nodes.items() if n in used}
-    incoming: dict = {}
-    for e in edges:
-        incoming.setdefault(e.dst, []).append(e)
-    for n in g.topo_order():
-        if n not in used or n not in incoming:
-            continue
-        e = incoming[n][0]
-        nodes[n] = pushforward(e.transform, nodes[e.src], name=n)
+    fed = {e.dst for e in edges}
+    used = {e.src for e in edges} | fed | {g.decisional}
+    nodes = {n: None if n in fed else a for n, a in g.nodes.items() if n in used}
     return WorkflowGraph(
         nodes, edges, decisional=g.decisional, class_tag=g.class_tag, level_tag=g.level_tag
     )
@@ -238,6 +231,7 @@ class _Evaluator:
 
     def __init__(self, g: WorkflowGraph, space: ParamSpace, entropy_mode: str):
         self.g, self.entropy_mode = g, entropy_mode
+        self.first_skip = None
         dims = space.dimensions
         self.structural = [i for i, d in enumerate(dims) if not _is_cost_only(d)]
         self.cost_only = [i for i, d in enumerate(dims) if _is_cost_only(d)]
@@ -251,9 +245,15 @@ class _Evaluator:
                     v: t.cost.amount for v, t in zip(d.values, applied)
                 }
 
-    def structure(self, assignment: dict) -> tuple:
-        """(graph, benefit interval) with the structural values applied."""
-        graph = apply_assignment(self.g, assignment)
+    def structure(self, assignment: dict) -> Optional[tuple]:
+        """(graph, benefit interval) with the structural values applied, or
+        None when its branches disagree at a joint: the first such mismatch
+        is kept as ``first_skip``."""
+        try:
+            graph = apply_assignment(self.g, assignment)
+        except AlphabetMismatch as exc:
+            self.first_skip = self.first_skip or exc
+            return None
         return graph, graph.total_benefit(self.entropy_mode)
 
 
@@ -281,6 +281,8 @@ def exhaustive_search(
     Arrays run over the whole space in lexicographic (C) order: one axis
     per dimension. Each structural sub-assignment fills the cost-only axes
     of its block with one broadcast cost array and one benefit interval.
+    A sub-assignment whose branches disagree at a joint is skipped, with
+    its whole block; when every one is, the first mismatch is raised.
     """
     count = space.combination_count()
     if count > cap:
@@ -307,16 +309,23 @@ def exhaustive_search(
     for picks in itertools.product(*(enumerate(dims[i].values) for i in ev.structural)):
         for i, (k, _) in zip(ev.structural, picks):
             index[i] = k
-        graph, ben = ev.structure(
+        at = tuple(index)
+        built = ev.structure(
             {(dims[i].target, dims[i].field): v for i, (_, v) in zip(ev.structural, picks)}
         )
-        at = tuple(index)
+        if built is None:
+            block[at] = -1
+            continue
+        graph, ben = built
         total = graph.cost_amounts(merge, columns)
         cost[at] = np.broadcast_to(total, cost_shape)
         block[at] = len(blocks)
         blocks.append((ben, None if np.ndim(total) else total))
 
-    cost, block = cost.ravel(), block.ravel()
+    kept = block.ravel() >= 0
+    if not kept.any():
+        raise ev.first_skip
+    cost, block = cost.ravel()[kept], block.ravel()[kept]
     ben_lo = np.array([ben.lo for ben, _ in blocks])[block]
     ben_hi = np.array([ben.hi for ben, _ in blocks])[block]
     # Interval.scale and Interval.midpoint, elementwise
@@ -335,7 +344,7 @@ def exhaustive_search(
     records = [
         (assignment, c if fixed is None else fixed, ben, Interval(lo, hi))
         for assignment, c, (ben, fixed), lo, hi in zip(
-            space.assignments(),
+            itertools.compress(space.assignments(), kept),
             cost.tolist(),
             map(blocks.__getitem__, block.tolist()),
             cbr_lo.tolist(),
@@ -351,9 +360,11 @@ def exhaustive_search(
             (records[i][1], records[i][2].midpoint)
             for i in _frontier(cost, 0.5 * (ben_lo + ben_hi))
         ],
-        evaluations=count,
+        evaluations=cost.size,
         certified=True,
         records=records,
+        skipped=count - cost.size,
+        first_skip=str(ev.first_skip or ""),
     )
 
 
@@ -367,24 +378,29 @@ def greedy_search(
     objective: str = "midpoint",
     seed: Optional[int] = None,
 ) -> OptimizeResult:
-    """Coordinate ascent from seeded random starts; local optimum only."""
+    """Coordinate ascent from seeded random starts; local optimum only.
+
+    An assignment that ``exhaustive_search`` would skip is not evaluated."""
     if restarts < 1:
         raise ValueError("restarts must be positive")
     rng = random.Random(_seed() if seed is None else seed)
     ev = _Evaluator(g, space, entropy_mode)
     dims = space.dimensions
     structural_keys = [(dims[i].target, dims[i].field) for i in ev.structural]
-    structures = {}  # structural values -> (graph, benefit)
+    structures = {}  # structural values -> (graph, benefit), or None when skipped
     best = None
     points = []
     records = []
-    evaluations = 0
+    evaluations = skipped = 0
 
     def score_of(assignment):
-        nonlocal evaluations
+        nonlocal evaluations, skipped
         key = tuple(assignment[k] for k in structural_keys)
         if key not in structures:
             structures[key] = ev.structure(dict(zip(structural_keys, key)))
+        if structures[key] is None:
+            skipped += 1
+            return None
         graph, ben = structures[key]
         amounts = {
             name: by_value[assignment[(dims[i].target, "cost_amount")]]
@@ -423,7 +439,7 @@ def greedy_search(
         if current_score is not None and (best is None or current_score[0] > best[0][0]):
             best = (current_score, current)
     if best is None:
-        raise ValueError("infeasible budget")
+        raise ValueError("infeasible budget") if evaluations else ev.first_skip
     (score, cost, cbr), assignment = best
     return OptimizeResult(
         best_assignment=assignment,
@@ -433,6 +449,8 @@ def greedy_search(
         evaluations=evaluations,
         certified=False,
         records=records,
+        skipped=skipped,
+        first_skip=str(ev.first_skip or ""),
     )
 
 

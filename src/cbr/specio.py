@@ -142,6 +142,7 @@ SCHEMA = {
             "properties": {
                 "edges": {
                     "type": "array",
+                    "minItems": 1,
                     "items": {
                         "type": "object",
                         "required": ["from", "to", "transform"],
@@ -232,9 +233,8 @@ def _compile_schema(schema: dict):
             return False
         if closed and not props.keys() >= d.keys():
             return False
-        for k, v in d.items():
-            p = props.get(k)
-            if p is not None and not p(v):
+        for k, p in props.items():  # other keys: rejected above if closed, else unchecked
+            if k in d and not p(d[k]):
                 return False
         return True
 
@@ -427,7 +427,7 @@ class WorkflowSpec:
         used = {e.src for e in edges} | {e.dst for e in edges}
         if gd.get("decisional"):
             used.add(gd["decisional"])
-        nodes = {n: a for n, a in alphabets.items() if n in used} if edges else alphabets
+        nodes = {n: a for n, a in alphabets.items() if n in used}
         try:
             return WorkflowGraph(
                 nodes,

@@ -103,6 +103,10 @@ def _alphabets_close(a: Alphabet, b: Alphabet) -> bool:
     )
 
 
+class AlphabetMismatch(ValueError):
+    """An edge's pushforward differs from the alphabet of its target node."""
+
+
 def _check_scored(e: Edge) -> None:
     if e.reconstruction is None and not isinstance(e.transform.kind, DeclaredHuman):
         raise ValueError(f"unscored edge: {e.transform.name}")
@@ -112,7 +116,8 @@ class WorkflowGraph:
     """Validated DAG with exactly one decisional sink alphabet.
 
     The structure (topological order, in- and out-edges, each joint's fork)
-    and each edge's ``Step``, with its letter codes, are computed once, here.
+    and each edge's ``Step``, with its letter codes, are computed once, here;
+    so is each node given as None, as the image of its first in-edge.
     Each edge's H(in), H(out) and D_KL are computed once per entropy mode,
     when first needed.
     """
@@ -134,26 +139,38 @@ class WorkflowGraph:
         # parallel branches, and their target is a joint
         self._in: dict = {n: [] for n in self.nodes}
         self._out: dict = {n: [] for n in self.nodes}
-        for e in self.edges:
+        first_in = {}  # node -> index of its first in-edge
+        for i, e in enumerate(self.edges):
             if e.src not in self.nodes or e.dst not in self.nodes:
                 raise ValueError(f"dangling reference: edge {e.src}->{e.dst}")
             self._out[e.src].append(e)
             self._in[e.dst].append(e)
+            first_in.setdefault(e.dst, i)
         # networkx sees node names only, and is not kept
         g = nx.DiGraph()
         g.add_nodes_from(self.nodes)
         g.add_edges_from((e.src, e.dst) for e in self.edges)
         if not nx.is_directed_acyclic_graph(g):
             raise ValueError("workflow graph must be acyclic")
+        self._order = tuple(nx.topological_sort(g))
 
-        self._steps = []  # one Step per edge, in edge order
-        for e in self.edges:
-            step = Step(e.transform, self.nodes[e.src])
-            if not _alphabets_close(step.output(), self.nodes[e.dst]):
-                raise ValueError(
-                    f"edge {e.transform.name}: pushforward does not match node {e.dst}"
-                )
-            self._steps.append(step)
+        # one Step per edge, in edge order: nodes given as None are derived
+        # first, in topological order; then every other edge must match its target
+        steps = self._steps = [None] * len(self.edges)
+        for n in self._order:
+            if self.nodes[n] is None:
+                if n not in first_in:
+                    raise ValueError(f"node {n} has no alphabet and no in-edge")
+                e = self.edges[first_in[n]]
+                steps[first_in[n]] = step = Step(e.transform, self.nodes[e.src])
+                self.nodes[n] = step.output(n)
+        for i, e in enumerate(self.edges):
+            if steps[i] is None:
+                steps[i] = step = Step(e.transform, self.nodes[e.src])
+                if not _alphabets_close(step.output(), self.nodes[e.dst]):
+                    raise AlphabetMismatch(
+                        f"edge {e.transform.name}: pushforward does not match node {e.dst}"
+                    )
 
         sinks = [n for n in self.nodes if not self._out[n]]
         if decisional is None:
@@ -166,7 +183,6 @@ class WorkflowGraph:
             raise ValueError("exactly one decisional sink required")
         self.decisional = decisional
 
-        self._order = tuple(nx.topological_sort(g))
         # joint -> (fork, node kinds of the edges between fork and joint), or
         # None when the arriving branches share no ancestor
         rank = {n: i for i, n in enumerate(self._order)}
@@ -189,9 +205,6 @@ class WorkflowGraph:
         self._terms_cache: dict = {}
 
     # -- structure helpers ------------------------------------------------
-
-    def topo_order(self) -> list:
-        return list(self._order)
 
     def is_chain(self) -> bool:
         """One path: no node has two in- or out-edges, and (acyclic as the

@@ -244,6 +244,12 @@ class TestBadSpecs:
         assert self.run(tmp_path, capsys, overview_with(mutate)) == f"error: {message}\n"
 
     @pytest.mark.parametrize("command", ["validate", "analyze"])
+    def test_edgeless_graph(self, command, tmp_path, capsys):
+        text = overview_with(lambda d: d["graph"].update(edges=[]))
+        err = self.run(tmp_path, capsys, text, command)
+        assert err == "error: [] should be non-empty at graph/edges\n"
+
+    @pytest.mark.parametrize("command", ["validate", "analyze"])
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     def test_non_finite_number(self, command, value, tmp_path, capsys):
         text = overview_with(lambda d: d["reconstructions"][1]["kind"].update(bits=value))

@@ -114,8 +114,8 @@ def _share_price_space() -> dict:
 def _enum_bins_space(branch_only: bool = False) -> dict:
     """``enum_fork_join`` with a ``bins`` dimension on its quantizer. Every
     value but 4 changes what the quantizer branch delivers at the joint,
-    so the whole workflow fails the search; its quantizer branch alone,
-    X -> Q -> D, does not."""
+    so the search on the whole workflow skips it; its quantizer branch
+    alone, X -> Q -> D, has no joint and skips nothing."""
     data = enum_fork_join()
     if branch_only:
         edges = data["graph"]["edges"]

@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 import random
 from dataclasses import replace
@@ -17,9 +18,11 @@ from cbr.optimize import (
     greedy_search,
     pareto_frontier,
 )
-from cbr.specio import fixture_share_price
-from cbr.transform import CostRecord, DeclaredHuman, Quantizer, Transform
-from cbr.workflow import Edge, WorkflowGraph
+from cbr.specio import FIXTURE_NAMES, fixture_share_price, load_fixture, parse_spec
+from cbr.transform import CostRecord, DeclaredHuman, Quantizer, Step, Transform
+from cbr.workflow import AlphabetMismatch, Edge, WorkflowGraph
+from test_golden import ENUM_SPECS
+from test_specio import enum_fork_join
 
 
 def declared(name, out, d, kind, cost=1.0):
@@ -160,6 +163,109 @@ class TestApplyAssignment:
     def test_unknown_field_rejected(self):
         with pytest.raises(ValueError, match="unknown transform field"):
             apply_assignment(chain_graph(), {("transform:t0", "levels"): 4})
+
+
+def fork_join_graph(coarse_q_first: bool = False) -> WorkflowGraph:
+    """``enum_fork_join``, whose joint D is reached by coarse_g and then
+    coarse_q, or by coarse_q first."""
+    data = enum_fork_join()
+    if coarse_q_first:
+        edges = data["graph"]["edges"]
+        edges[2], edges[3] = edges[3], edges[2]
+    return parse_spec(json.dumps(data)).build_graph()
+
+
+BINS = ("transform:bin", "bins")
+
+
+class TestDerivedAlphabets:
+    """``apply_assignment`` leaves every fed node to the new graph, which
+    derives it from its first in-edge and checks the others."""
+
+    def test_one_step_per_edge(self, monkeypatch):
+        g = fixture_share_price(3).build_graph()
+        made = []
+        init = Step.__init__
+
+        def counted(self, *args):
+            made.append(self)
+            init(self, *args)
+
+        monkeypatch.setattr(Step, "__init__", counted)
+        tuned = apply_assignment(g, {("transform:plot", "bins"): 64})
+        assert len(made) == len(tuned.edges) == 7
+
+    @pytest.mark.parametrize("coarse_q_first", [False, True])
+    def test_branches_that_disagree_at_a_joint(self, coarse_q_first):
+        g = fork_join_graph(coarse_q_first)
+        later = g.edges[3].transform.name
+        for bins in (2, 3):
+            with pytest.raises(AlphabetMismatch) as exc:
+                apply_assignment(g, {BINS: bins})
+            assert str(exc.value) == f"edge {later}: pushforward does not match node D"
+        overall = g.analyze().overall
+        cost, ben, cbr = evaluate(apply_assignment(g, {BINS: 4}))
+        assert cost == overall.total_cost.amount == 8
+        assert ben == overall.total_benefit_bits
+        assert cbr == overall.overall_cbr
+        assert (round(ben.lo, 5), round(ben.hi, 5)) == (2.85026, 5.69504)
+
+    @pytest.mark.parametrize("name", [*FIXTURE_NAMES, *ENUM_SPECS])
+    def test_empty_assignment_keeps_cost_and_benefit(self, name):
+        if name in ENUM_SPECS:
+            spec = parse_spec(json.dumps(ENUM_SPECS[name]()))
+        else:
+            spec = load_fixture(name).spec
+        g, mode = spec.build_graph(), spec.entropy_mode
+        cost, ben, _ = evaluate(apply_assignment(g, {}), mode)
+        assert cost == g.total_cost().amount
+        assert ben == g.total_benefit(mode)
+
+
+class TestSkippedAssignments:
+    """An assignment whose branches disagree at a joint is skipped; every
+    other error still ends the search."""
+
+    def space(self, bins=(2, 3, 4)):
+        return ParamSpace((
+            Dimension(*BINS, bins),
+            Dimension("transform:pair", "cost_amount", (1.0, 2.0)),
+        ))
+
+    def test_exhaustive(self):
+        g = fork_join_graph()
+        result = exhaustive_search(g, self.space())
+        assert (result.evaluations, result.skipped) == (2, 4)
+        assert result.first_skip == "edge coarse_q: pushforward does not match node D"
+        assert [(a[BINS], cost) for a, cost, *_ in result.records] == [(4, 7.0), (4, 8.0)]
+        assert result.best_assignment == {BINS: 4, ("transform:pair", "cost_amount"): 1.0}
+        assert result.best_cost == 7.0
+        assert result.frontier == [(7.0, g.total_benefit().midpoint)]
+
+    def test_greedy(self):
+        result = greedy_search(fork_join_graph(), self.space(), restarts=3, seed=1)
+        assert result.skipped > 0
+        assert result.first_skip == "edge coarse_q: pushforward does not match node D"
+        assert result.evaluations == len(result.records) > 0
+        assert {a[BINS] for a, *_ in result.records} == {4}
+        assert result.best_assignment[BINS] == 4
+
+    def test_nothing_skipped(self):
+        result = exhaustive_search(fork_join_graph(), self.space((4,)))
+        assert (result.evaluations, result.skipped, result.first_skip) == (2, 0, "")
+
+    @pytest.mark.parametrize("search", [exhaustive_search, greedy_search])
+    def test_every_assignment_skipped(self, search):
+        with pytest.raises(AlphabetMismatch, match="^edge coarse_q: pushforward does not match node D$"):
+            search(fork_join_graph(), self.space((2, 3)))
+
+    @pytest.mark.parametrize("search", [exhaustive_search, greedy_search])
+    def test_other_errors_end_the_search(self, search):
+        g = fixture_share_price(3).build_graph()
+        space = ParamSpace((Dimension("transform:aggregate", "window", (12, 7)),))
+        with pytest.raises(ValueError, match="^window does not divide the factor count$") as exc:
+            search(g, space)
+        assert not isinstance(exc.value, AlphabetMismatch)
 
 
 class TestExhaustive:

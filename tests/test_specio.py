@@ -94,7 +94,6 @@ class TestParse:
         data["alphabets"].append(
             {"name": "p", "model": {"type": "product", "factor": "p", "count": 2}}
         )
-        data["graph"]["edges"] = []
         with pytest.raises(SpecError, match="circular"):
             parse_spec(json.dumps(data)).alphabets()
 

@@ -3,7 +3,7 @@ import pytest
 from cbr.alphabet import Alphabet, entropy, symbolic, uniform
 from cbr.reconstruction import Reconstruction, UniformPreimage
 from cbr.transform import CostRecord, DeclaredHuman, Transform
-from cbr.workflow import CLASS_LEVEL, LEVELS, Edge, Interval, WorkflowGraph
+from cbr.workflow import CLASS_LEVEL, LEVELS, AlphabetMismatch, Edge, Interval, WorkflowGraph
 from conftest import make_grouping
 
 UNI = Reconstruction("uni", UniformPreimage())
@@ -108,6 +108,37 @@ class TestValidation:
         g = WorkflowGraph({"in": u8, "out": out}, [Edge("in", "out", t, UNI)])
         assert g.decisional == "out"
         assert g.is_chain()
+
+
+class TestDerivedNodes:
+    """A node given as None is its first in-edge's image."""
+
+    def test_derived_from_first_in_edge(self):
+        from cbr.transform import pushforward
+
+        u8 = uniform("u8", [str(i) for i in range(8)])
+        t = make_grouping({str(i): "ab"[i // 6] for i in range(8)})
+        g = WorkflowGraph({"in": u8, "out": None}, [Edge("in", "out", t, UNI)])
+        out = pushforward(t, u8, name="out")
+        assert g.nodes["out"].name == "out"
+        assert g.nodes["out"].letter_ids() == out.letter_ids()
+        assert list(g.nodes["out"].prob_vector()) == list(out.prob_vector())
+
+    @pytest.mark.parametrize("order", [(0, 1), (1, 0)])
+    def test_later_in_edge_checked(self, order):
+        a = symbolic("a", 10.0)
+        edges = [
+            Edge("a", "j", declared("t0", symbolic("j", 4.0), 0.0, "H")),
+            Edge("a", "j", declared("t1", symbolic("j", 3.0), 0.0, "H")),
+        ]
+        later = edges[order[1]].transform.name
+        with pytest.raises(AlphabetMismatch, match=f"^edge {later}: pushforward does not match node j$"):
+            WorkflowGraph({"a": a, "j": None}, [edges[i] for i in order])
+
+    def test_none_node_without_in_edge_rejected(self):
+        b = symbolic("b", 2.0)
+        with pytest.raises(ValueError, match="^node a has no alphabet and no in-edge$"):
+            WorkflowGraph({"a": None, "b": b}, [Edge("a", "b", declared("t", b, 0.0, "H"))])
 
 
 class TestAccumulation:
