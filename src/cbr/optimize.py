@@ -60,13 +60,8 @@ class ParamSpace:
 
     def assignments(self):
         """All assignments in lexicographic (dimension-order) order."""
-        if not self.dimensions:
-            yield {}
-            return
         for combo in itertools.product(*(d.values for d in self.dimensions)):
-            yield {
-                (d.target, d.field): v for d, v in zip(self.dimensions, combo)
-            }
+            yield {(d.target, d.field): v for d, v in zip(self.dimensions, combo)}
 
 
 @dataclass
@@ -208,20 +203,13 @@ def evaluate(
     return cost.amount, ben, ben.scale(1.0 / cost.amount)
 
 
-def _objective(cbr: Interval, objective: str) -> float:
-    return cbr.midpoint if objective == "midpoint" else cbr.lo
-
-
-def _feasible(cost: float, budget: Optional[CostRecord]) -> bool:
-    return budget is None or cost <= budget.amount + 1e-12
-
-
 def _is_cost_only(d: Dimension) -> bool:
     return d.target.startswith("transform:") and d.field == "cost_amount"
 
 
 class _Evaluator:
-    """Evaluates the assignments of one space on one graph.
+    """Evaluates the assignments of one space on one graph, each given as
+    one value index per dimension.
 
     Benefit has no cost term, so a ``cost_amount`` dimension changes only
     the divisor of the ratio. The graph and its benefit are built once per
@@ -229,32 +217,96 @@ class _Evaluator:
     dimensions enter as candidate amounts in ``WorkflowGraph.cost_amounts``.
     """
 
-    def __init__(self, g: WorkflowGraph, space: ParamSpace, entropy_mode: str):
-        self.g, self.entropy_mode = g, entropy_mode
+    def __init__(self, g: WorkflowGraph, space: ParamSpace, entropy_mode: str, merge: str,
+                 objective: str, revisits: bool):
+        self.g, self.entropy_mode, self.merge, self.objective = g, entropy_mode, merge, objective
+        self.dims = dims = space.dimensions
+        self.keys = [(d.target, d.field) for d in dims]
         self.first_skip = None
-        dims = space.dimensions
         self.structural = [i for i, d in enumerate(dims) if not _is_cost_only(d)]
         self.cost_only = [i for i, d in enumerate(dims) if _is_cost_only(d)]
-        # dimension index -> (transform name, {value: validated amount}); a
+        # dimension index -> (transform name, validated amount per value); a
         # dimension naming no transform of the graph changes nothing
         self.amounts = {}
         for i, d in enumerate(dims):
             applied = apply_dimension(g, d)  # every dimension, so that a bad one raises here
             if applied and _is_cost_only(d):
-                self.amounts[i] = d.target.split(":", 1)[1], {
-                    v: t.cost.amount for v, t in zip(d.values, applied)
-                }
+                self.amounts[i] = d.target.split(":", 1)[1], np.array([t.cost.amount for t in applied])
+        # structural value indices -> structure(), for a search that comes back
+        # to them; a graph holds kilobytes, and exhaustive search visits each once
+        self._structures = {} if revisits else None
 
-    def structure(self, assignment: dict) -> Optional[tuple]:
-        """(graph, benefit interval) with the structural values applied, or
-        None when its branches disagree at a joint: the first such mismatch
-        is kept as ``first_skip``."""
+    def structure(self, picks: tuple) -> Optional[tuple]:
+        """(graph, benefit interval) with the structural values at ``picks``
+        applied, built once; None when its branches disagree at a joint:
+        the first such mismatch is kept as ``first_skip``."""
+        memo = self._structures
+        if memo is not None and picks in memo:
+            return memo[picks]
         try:
-            graph = apply_assignment(self.g, assignment)
+            graph = apply_assignment(self.g, {
+                self.keys[i]: self.dims[i].values[k] for i, k in zip(self.structural, picks)
+            })
+            built = graph, graph.total_benefit(self.entropy_mode)
         except AlphabetMismatch as exc:
             self.first_skip = self.first_skip or exc
-            return None
-        return graph, graph.total_benefit(self.entropy_mode)
+            built = None
+        if memo is not None:
+            memo[picks] = built
+        return built
+
+    def table(self, candidates: list) -> tuple:
+        """Every assignment that takes one of ``candidates[i]`` (value
+        indices) for each dimension i, in lexicographic order: a mask of
+        those kept, and their records and cost, benefit-midpoint and score
+        arrays.
+
+        Each structural sub-assignment fills the cost-only axes of its
+        block with one broadcast cost array and one benefit interval. A
+        sub-assignment whose branches disagree at a joint is skipped, with
+        its whole block.
+        """
+        shape = tuple(map(len, candidates))
+        cost_shape = tuple(shape[i] for i in self.cost_only)
+        columns = {
+            name: amounts[candidates[i]].reshape([-1 if j == i else 1 for j in self.cost_only])
+            for i, (name, amounts) in self.amounts.items()
+        }
+        cost = np.empty(shape)
+        block = np.empty(shape, dtype=np.intp)
+        blocks = []  # (benefit, the block's one cost when no cost dimension reaches it)
+        index = [slice(None)] * len(shape)
+        for picks in itertools.product(*(enumerate(candidates[i]) for i in self.structural)):
+            for i, (at, _) in zip(self.structural, picks):
+                index[i] = at
+            at = tuple(index)
+            built = self.structure(tuple(k for _, k in picks))
+            if built is None:
+                block[at] = -1
+                continue
+            graph, ben = built
+            total = graph.cost_amounts(self.merge, columns)
+            cost[at] = np.broadcast_to(total, cost_shape)
+            block[at] = len(blocks)
+            blocks.append((ben, None if np.ndim(total) else total))
+
+        kept = block.ravel() >= 0
+        cost, block = cost.ravel()[kept], block.ravel()[kept]
+        ben_lo = np.array([ben.lo for ben, _ in blocks])[block]
+        ben_hi = np.array([ben.hi for ben, _ in blocks])[block]
+        # Interval.scale and Interval.midpoint, elementwise
+        inv = 1.0 / cost
+        a, b = ben_lo * inv, ben_hi * inv
+        cbr_lo, cbr_hi = np.minimum(a, b), np.maximum(a, b)
+        score = 0.5 * (cbr_lo + cbr_hi) if self.objective == "midpoint" else cbr_lo
+        records = [
+            ({key: d.values[k] for key, d, k in zip(self.keys, self.dims, row)},
+             c if fixed is None else fixed, ben, Interval(lo, hi))
+            for row, c, (ben, fixed), lo, hi in zip(
+                itertools.compress(itertools.product(*candidates), kept), cost.tolist(),
+                map(blocks.__getitem__, block.tolist()), cbr_lo.tolist(), cbr_hi.tolist())
+        ]
+        return kept, records, cost, 0.5 * (ben_lo + ben_hi), score
 
 
 def _frontier(cost: np.ndarray, benefit: np.ndarray) -> np.ndarray:
@@ -265,6 +317,41 @@ def _frontier(cost: np.ndarray, benefit: np.ndarray) -> np.ndarray:
     benefit = benefit[order]
     best_before = np.maximum.accumulate(np.concatenate(([-np.inf], benefit[:-1])))
     return order[benefit > best_before]
+
+
+def _best(cost: np.ndarray, score: np.ndarray, budget: Optional[CostRecord]) -> Optional[int]:
+    """Index of the highest score within ``budget``, then the lowest cost,
+    then the first; None when no cost is within it."""
+    feasible = np.arange(cost.size) if budget is None else (
+        np.flatnonzero(cost <= budget.amount + 1e-12))
+    if not feasible.size:
+        return None
+    return int(feasible[np.lexsort((cost[feasible], -score[feasible]))[0]])
+
+
+def _result(ev: _Evaluator, records: list, cost: np.ndarray, benefit: np.ndarray,
+            score: np.ndarray, skipped: int, budget: Optional[CostRecord],
+            certified: bool) -> OptimizeResult:
+    """The result of a search that evaluated ``records``, one per
+    assignment, with their cost, benefit-midpoint and score arrays; it
+    raises the first mismatch when every assignment was skipped."""
+    if not records:
+        raise ev.first_skip
+    best = _best(cost, score, budget)
+    if best is None:
+        raise ValueError("infeasible budget")
+    assignment, best_cost, _, best_cbr = records[best]
+    return OptimizeResult(
+        best_assignment=assignment,
+        best_cbr=best_cbr,
+        best_cost=best_cost,
+        frontier=[(records[i][1], records[i][2].midpoint) for i in _frontier(cost, benefit)],
+        evaluations=len(records),
+        certified=certified,
+        records=records,
+        skipped=skipped,
+        first_skip=str(ev.first_skip or ""),
+    )
 
 
 def exhaustive_search(
@@ -278,11 +365,8 @@ def exhaustive_search(
 ) -> OptimizeResult:
     """Evaluate every assignment; certified global argmax of the objective.
 
-    Arrays run over the whole space in lexicographic (C) order: one axis
-    per dimension. Each structural sub-assignment fills the cost-only axes
-    of its block with one broadcast cost array and one benefit interval.
-    A sub-assignment whose branches disagree at a joint is skipped, with
-    its whole block; when every one is, the first mismatch is raised.
+    An assignment whose branches disagree at a joint is skipped; when
+    every one is, the first mismatch is raised.
     """
     count = space.combination_count()
     if count > cap:
@@ -290,82 +374,9 @@ def exhaustive_search(
             f"parameter space has {count} combinations, over the exhaustive cap "
             f"{cap}; use greedy_search"
         )
-    ev = _Evaluator(g, space, entropy_mode)
-    dims = space.dimensions
-    shape = tuple(len(d.values) for d in dims)
-    cost_shape = tuple(shape[i] for i in ev.cost_only)
-    columns = {}
-    for axis, i in enumerate(ev.cost_only):
-        if i in ev.amounts:
-            name, by_value = ev.amounts[i]
-            column = np.array([by_value[v] for v in dims[i].values])
-            columns[name] = column.reshape(
-                [-1 if a == axis else 1 for a in range(len(cost_shape))]
-            )
-    cost = np.empty(shape)
-    block = np.empty(shape, dtype=np.intp)
-    blocks = []  # (benefit, the block's one cost when no cost dimension reaches it)
-    index = [slice(None)] * len(shape)
-    for picks in itertools.product(*(enumerate(dims[i].values) for i in ev.structural)):
-        for i, (k, _) in zip(ev.structural, picks):
-            index[i] = k
-        at = tuple(index)
-        built = ev.structure(
-            {(dims[i].target, dims[i].field): v for i, (_, v) in zip(ev.structural, picks)}
-        )
-        if built is None:
-            block[at] = -1
-            continue
-        graph, ben = built
-        total = graph.cost_amounts(merge, columns)
-        cost[at] = np.broadcast_to(total, cost_shape)
-        block[at] = len(blocks)
-        blocks.append((ben, None if np.ndim(total) else total))
-
-    kept = block.ravel() >= 0
-    if not kept.any():
-        raise ev.first_skip
-    cost, block = cost.ravel()[kept], block.ravel()[kept]
-    ben_lo = np.array([ben.lo for ben, _ in blocks])[block]
-    ben_hi = np.array([ben.hi for ben, _ in blocks])[block]
-    # Interval.scale and Interval.midpoint, elementwise
-    inv = 1.0 / cost
-    a, b = ben_lo * inv, ben_hi * inv
-    cbr_lo, cbr_hi = np.minimum(a, b), np.maximum(a, b)
-    score = 0.5 * (cbr_lo + cbr_hi) if objective == "midpoint" else cbr_lo
-    feasible = np.arange(cost.size)
-    if budget is not None:
-        feasible = feasible[cost <= budget.amount + 1e-12]
-    if not feasible.size:
-        raise ValueError("infeasible budget")
-    # highest score, then lowest cost, then first in lexicographic order
-    best = feasible[np.lexsort((cost[feasible], -score[feasible]))[0]]
-
-    records = [
-        (assignment, c if fixed is None else fixed, ben, Interval(lo, hi))
-        for assignment, c, (ben, fixed), lo, hi in zip(
-            itertools.compress(space.assignments(), kept),
-            cost.tolist(),
-            map(blocks.__getitem__, block.tolist()),
-            cbr_lo.tolist(),
-            cbr_hi.tolist(),
-        )
-    ]
-    assignment, best_cost, _, best_cbr = records[best]
-    return OptimizeResult(
-        best_assignment=assignment,
-        best_cbr=best_cbr,
-        best_cost=best_cost,
-        frontier=[
-            (records[i][1], records[i][2].midpoint)
-            for i in _frontier(cost, 0.5 * (ben_lo + ben_hi))
-        ],
-        evaluations=cost.size,
-        certified=True,
-        records=records,
-        skipped=count - cost.size,
-        first_skip=str(ev.first_skip or ""),
-    )
+    ev = _Evaluator(g, space, entropy_mode, merge, objective, revisits=False)
+    kept, records, *arrays = ev.table([range(len(d.values)) for d in space.dimensions])
+    return _result(ev, records, *arrays, kept.size - len(records), budget, certified=True)
 
 
 def greedy_search(
@@ -380,78 +391,46 @@ def greedy_search(
 ) -> OptimizeResult:
     """Coordinate ascent from seeded random starts; local optimum only.
 
-    An assignment that ``exhaustive_search`` would skip is not evaluated."""
+    From each start, each dimension in turn scores its line (every value
+    of that dimension, the others fixed) and moves to the line's best when
+    that scores strictly higher. Each assignment is evaluated once; an
+    assignment that ``exhaustive_search`` would skip is not evaluated."""
     if restarts < 1:
         raise ValueError("restarts must be positive")
     rng = random.Random(_seed() if seed is None else seed)
-    ev = _Evaluator(g, space, entropy_mode)
-    dims = space.dimensions
-    structural_keys = [(dims[i].target, dims[i].field) for i in ev.structural]
-    structures = {}  # structural values -> (graph, benefit), or None when skipped
-    best = None
-    points = []
-    records = []
-    evaluations = skipped = 0
+    ev = _Evaluator(g, space, entropy_mode, merge, objective, revisits=True)
+    sizes = [len(d.values) for d in space.dimensions]
+    evaluated = {}  # assignment -> (record, cost, benefit, score), in first-visit order
+    visited = set()  # skipped assignments too
 
-    def score_of(assignment):
-        nonlocal evaluations, skipped
-        key = tuple(assignment[k] for k in structural_keys)
-        if key not in structures:
-            structures[key] = ev.structure(dict(zip(structural_keys, key)))
-        if structures[key] is None:
-            skipped += 1
-            return None
-        graph, ben = structures[key]
-        amounts = {
-            name: by_value[assignment[(dims[i].target, "cost_amount")]]
-            for i, (name, by_value) in ev.amounts.items()
-        }
-        cost = graph.cost_amounts(merge, amounts)
-        cbr = ben.scale(1.0 / cost)
-        evaluations += 1
-        points.append((cost, ben.midpoint))
-        records.append((assignment, cost, ben, cbr))
-        if not _feasible(cost, budget):
-            return None
-        return (_objective(cbr, objective), cost, cbr)
+    def best_of(candidates):
+        """(score, assignment) of the best of ``candidates`` within budget, or None."""
+        kept, records, cost, benefit, score = ev.table(candidates)
+        every = list(itertools.product(*candidates))
+        visited.update(every)
+        rows = list(itertools.compress(every, kept))
+        for row, *values in zip(rows, records, cost, benefit, score):
+            evaluated.setdefault(row, values)
+        best = _best(cost, score, budget)
+        return None if best is None else (score[best], rows[best])
 
     for _ in range(restarts):
-        current = {
-            (d.target, d.field): rng.choice(d.values) for d in dims
-        }
-        current_score = score_of(current)
+        # the value indices drawn are those of the values rng.choice(d.values) draws
+        at = tuple(rng.choice(range(n)) for n in sizes)
+        found = best_of([[k] for k in at])
+        current = None if found is None else found[0]
         improved = True
         while improved:
             improved = False
-            for d in dims:
-                key = (d.target, d.field)
-                for v in d.values:
-                    if v == current[key]:
-                        continue
-                    candidate = dict(current)
-                    candidate[key] = v
-                    s = score_of(candidate)
-                    if s is not None and (
-                        current_score is None or s[0] > current_score[0]
-                    ):
-                        current, current_score = candidate, s
-                        improved = True
-        if current_score is not None and (best is None or current_score[0] > best[0][0]):
-            best = (current_score, current)
-    if best is None:
-        raise ValueError("infeasible budget") if evaluations else ev.first_skip
-    (score, cost, cbr), assignment = best
-    return OptimizeResult(
-        best_assignment=assignment,
-        best_cbr=cbr,
-        best_cost=cost,
-        frontier=pareto_frontier(points),
-        evaluations=evaluations,
-        certified=False,
-        records=records,
-        skipped=skipped,
-        first_skip=str(ev.first_skip or ""),
-    )
+            for i, n in enumerate(sizes):
+                line = [[k] for k in at]
+                line[i] = range(n)
+                found = best_of(line)
+                if found is not None and (current is None or found[0] > current):
+                    (current, at), improved = found, True
+    records, cost, benefit, score = zip(*evaluated.values()) if evaluated else ((),) * 4
+    return _result(ev, list(records), np.array(cost), np.array(benefit), np.array(score),
+                   len(visited) - len(evaluated), budget, certified=False)
 
 
 def pareto_frontier(points: list) -> list:

@@ -263,6 +263,16 @@ def _field_error(exc: Exception, what: str, path: str) -> SpecError:
     return SpecError(f"{what} has a field of the wrong type ({exc})", path)
 
 
+def _by_name(section: list, path: str) -> dict:
+    """The declarations of ``section`` by name; a name declared twice is an error."""
+    out = {}
+    for i, decl in enumerate(section):
+        if decl["name"] in out:
+            raise SpecError(f"duplicate name {decl['name']!r}", f"{path}[{i}].name")
+        out[decl["name"]] = decl
+    return out
+
+
 def _build_alphabet(name: str, trail: tuple, decls: dict, cache: dict) -> Alphabet:
     """Alphabet ``name`` from its declaration, its factors first; ``cache``
     holds those already built.
@@ -353,7 +363,7 @@ class WorkflowSpec:
 
     def alphabets(self) -> dict:
         cache: dict = {}
-        decls = {a["name"]: a for a in self.data["alphabets"]}
+        decls = _by_name(self.data["alphabets"], "alphabets")
         return {name: _build_alphabet(name, (), decls, cache) for name in decls}
 
     def transforms(self) -> dict:
@@ -361,7 +371,7 @@ class WorkflowSpec:
 
     def _transforms(self, alphabets: dict) -> dict:
         out = {}
-        for i, td in enumerate(self.data["transforms"]):
+        for i, td in enumerate(_by_name(self.data["transforms"], "transforms").values()):
             kd = td["kind"]
             t = kd["type"]
             path = f"transforms[{i}]"
@@ -380,7 +390,8 @@ class WorkflowSpec:
 
     def reconstructions(self) -> dict:
         out = {}
-        for i, rd in enumerate(self.data.get("reconstructions", [])):
+        decls = _by_name(self.data.get("reconstructions", []), "reconstructions")
+        for i, rd in enumerate(decls.values()):
             kd = rd["kind"]
             t = kd["type"]
             try:

@@ -140,9 +140,13 @@ class WorkflowGraph:
         self._in: dict = {n: [] for n in self.nodes}
         self._out: dict = {n: [] for n in self.nodes}
         first_in = {}  # node -> index of its first in-edge
+        named = set()  # per-edge results are keyed by transform name
         for i, e in enumerate(self.edges):
             if e.src not in self.nodes or e.dst not in self.nodes:
                 raise ValueError(f"dangling reference: edge {e.src}->{e.dst}")
+            if e.transform.name in named:
+                raise ValueError(f"transform {e.transform.name!r} is on more than one edge")
+            named.add(e.transform.name)
             self._out[e.src].append(e)
             self._in[e.dst].append(e)
             first_in.setdefault(e.dst, i)
@@ -330,12 +334,11 @@ class WorkflowGraph:
             else:
                 fork, branch_kinds = self._fork_of(n)
                 base = acc[fork]
-                arriving = []
-                for e in incoming:
-                    total = acc[e.src] + per_edge[e.transform.name]
-                    arriving.append(Interval(total.lo - base.lo, total.hi - base.hi))
-                lo = max(iv.lo for iv in arriving)
-                hi = sum(iv.hi for iv in arriving)
+                # each branch less the fork, bound by bound: plain floats, as
+                # a branch narrower than a joint fork's interval inverts them
+                totals = [acc[e.src] + per_edge[e.transform.name] for e in incoming]
+                lo = max(t.lo - base.lo for t in totals)
+                hi = sum(t.hi - base.hi for t in totals)
                 if branch_kinds <= {"M"}:
                     hi = min(hi - shared_mi_bits, h(self.nodes[fork]))
                 acc[n] = base + Interval(min(lo, hi), hi)

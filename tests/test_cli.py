@@ -208,6 +208,39 @@ def overview_with(mutate) -> str:
     return json.dumps(data)
 
 
+def declared_spec(bits: dict, edges: list) -> str:
+    """Symbolic alphabets (name -> entropy bits) joined by distortion-free
+    declared steps, one per (src, dst, transform, node kind) edge."""
+    cost = {"kind": "time", "amount": 1, "unit": "s"}
+    transforms = {
+        t: {"name": t, "node_kind": kind, "cost": cost,
+            "kind": {"type": "declared", "output": dst, "distortion_bits": 0.0}}
+        for _, dst, t, kind in edges
+    }
+    return json.dumps({
+        "schema_version": "1",
+        "alphabets": [
+            {"name": n, "model": {"type": "symbolic", "entropy_bits": h}} for n, h in bits.items()
+        ],
+        "transforms": list(transforms.values()),
+        "graph": {"edges": [{"from": src, "to": dst, "transform": t} for src, dst, t, _ in edges]},
+    })
+
+
+def test_joint_whose_fork_is_a_joint(tmp_path, capsys):
+    """N4's fork is N2, itself a joint (tests/test_workflow.py)."""
+    path = tmp_path / "nested.json"
+    path.write_text(declared_spec(
+        {"X": 10, "N1": 8, "N2": 6, "N3": 9, "N4": 5},
+        [(src, dst, src + dst, kind) for src, dst, kind in [
+            ("X", "N1", "M"), ("N1", "N2", "M"), ("X", "N2", "M"), ("N1", "N3", "H"),
+            ("N2", "N3", "H"), ("N3", "N4", "M"), ("N2", "N4", "M"),
+        ]],
+    ))
+    assert main(["analyze", str(path)]) == 0
+    assert "total benefit: [5, 9] bits\n" in capsys.readouterr().out
+
+
 class TestBadSpecs:
     """Schema-valid documents with a bad per-kind field, and non-finite
     numbers, end in one ``error:`` line and exit 1."""
@@ -242,6 +275,24 @@ class TestBadSpecs:
     )
     def test_per_kind_field(self, mutate, message, tmp_path, capsys):
         assert self.run(tmp_path, capsys, overview_with(mutate)) == f"error: {message}\n"
+
+    @pytest.mark.parametrize("section, i, name", [
+        ("alphabets", 2, "Zd"), ("transforms", 1, "zoom"), ("reconstructions", 1, "zoom_declared"),
+    ])
+    def test_name_declared_twice(self, section, i, name, tmp_path, capsys):
+        text = overview_with(lambda d: d[section].append(dict(d[section][i])))
+        at = f"{section}[{len(json.loads(text)[section]) - 1}].name"
+        assert self.run(tmp_path, capsys, text) == f"error: duplicate name {name!r} at {at}\n"
+
+    @pytest.mark.parametrize("command", ["validate", "analyze"])
+    def test_transform_on_two_edges(self, command, tmp_path, capsys):
+        text = declared_spec({"S": 20, "A": 10, "B": 4, "D": 1}, [
+            ("S", "A", "toA", "H"), ("S", "B", "toB", "H"),
+            ("A", "D", "decide", "H"), ("B", "D", "decide", "H"),
+        ])
+        assert self.run(tmp_path, capsys, text, command) == (
+            "error: transform 'decide' is on more than one edge at graph\n"
+        )
 
     @pytest.mark.parametrize("command", ["validate", "analyze"])
     def test_edgeless_graph(self, command, tmp_path, capsys):

@@ -8,6 +8,7 @@ import pytest
 
 from cbr.alphabet import entropy, symbolic
 from cbr.optimize import (
+    DEFAULT_SEED,
     Dimension,
     ParamSpace,
     apply_assignment,
@@ -21,7 +22,7 @@ from cbr.optimize import (
 from cbr.specio import FIXTURE_NAMES, fixture_share_price, load_fixture, parse_spec
 from cbr.transform import CostRecord, DeclaredHuman, Quantizer, Step, Transform
 from cbr.workflow import AlphabetMismatch, Edge, WorkflowGraph
-from test_golden import ENUM_SPECS
+from test_golden import ENUM_SPECS, _share_price_space
 from test_specio import enum_fork_join
 
 
@@ -354,6 +355,29 @@ class TestGreedy:
         implicit = greedy_search(g, PLATEAU_SPACE, restarts=1, merge="max_parallel")
         explicit = greedy_search(g, PLATEAU_SPACE, restarts=1, merge="max_parallel", seed=0)
         assert implicit.best_assignment == explicit.best_assignment
+
+    def test_each_assignment_evaluated_once(self):
+        """The golden ``optimize --greedy --restarts 3`` space on share-price
+        r=3 (18 combinations): restarts and lines come back to assignments
+        already seen, which keep their one record."""
+        spec = parse_spec(json.dumps(_share_price_space()))
+        result = greedy_search(spec.build_graph(), spec.param_space(), restarts=3,
+                               entropy_mode=spec.entropy_mode, seed=DEFAULT_SEED)
+        distinct = {tuple(sorted(a.items())) for a, *_ in result.records}
+        assert result.evaluations == len(result.records) == len(distinct) == 12
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_tie_breaks_on_lower_cost(self, seed):
+        """Every score is 0 on this line, at costs 2 + 4 and 2 + 2: greedy
+        picks the cheaper, as exhaustive search does, from either start."""
+        zeroed = apply_assignment(chain_graph(), {
+            ("transform:t0", "declared_distortion_bits"): 4.0,
+            ("transform:t1", "declared_distortion_bits"): 4.0,
+        })
+        space = ParamSpace((Dimension("transform:t1", "cost_amount", (4.0, 2.0)),))
+        greedy = greedy_search(zeroed, space, seed=seed)
+        assert greedy.best_cost == exhaustive_search(zeroed, space).best_cost == 4.0
+        assert greedy.best_assignment == {("transform:t1", "cost_amount"): 2.0}
 
     def test_zero_restarts_rejected(self):
         with pytest.raises(ValueError, match="restarts"):

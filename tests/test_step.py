@@ -341,9 +341,10 @@ def workflows(draw):
 
     One source X of 2-64 letters with numeric ids; groupings, quantizers
     (from X) and declared human steps; fork/join triangles P -> Z -> Y plus
-    P -> Y; declared joins into later nodes, which may repeat a (src, dst)
-    pair; repeated deterministic edges. Every sink but one joins a final
-    declared node.
+    P -> Y; nested joints, a triangle with declared steps Z -> C, Y -> C,
+    C -> E and Y -> E, so that E's fork is the joint Y; declared joins into
+    later nodes, which may repeat a (src, dst) pair; repeated deterministic
+    edges. Every sink but one joins a final declared node.
     """
     n = draw(st.integers(2, 64))
     nodes = {"X": draw_pmf(draw, [str(i) for i in range(n)])}
@@ -360,14 +361,20 @@ def workflows(draw):
         add(src, dst, letters, cuts, (r, draw_pmf(draw, list(nodes[src])) if r == "prior" else None))
         return dst
 
-    def declared(src, dst):
+    def declared(src, dst=None):
+        if dst is None:
+            dst = f"N{len(nodes)}"
+            nodes[dst] = draw_pmf(draw, [f"h{i}" for i in range(draw(st.integers(2, 8)))])
         add(src, dst, bits=draw(st.sampled_from([None, 0.0, 0.25, 1.5])))  # None: the step's own
+        return dst
 
     for _ in range(draw(st.integers(1, 6))):
         order = list(nodes)
         src = draw(st.sampled_from(order))
         ids = list(nodes[src])
-        op = draw(st.sampled_from(["grouping", "quantizer", "declared", "join", "triangle", "repeat"]))
+        op = draw(st.sampled_from(
+            ["grouping", "quantizer", "declared", "join", "triangle", "nested", "repeat"]
+        ))
         if op == "grouping":
             deterministic(src, draw_map(draw, ids, f"{src}g"))
         elif op == "quantizer":
@@ -375,17 +382,20 @@ def workflows(draw):
             bins = {str(i): f"bin{sum(c <= i for c in cuts)}" for i in range(n)}
             deterministic("X", bins, cuts=cuts)
         elif op == "declared":
-            dst = f"N{len(nodes)}"
-            nodes[dst] = draw_pmf(draw, [f"h{i}" for i in range(draw(st.integers(2, 8)))])
-            declared(src, dst)
+            declared(src)
         elif op == "join" and order.index(src) + 1 < len(order):
             declared(src, draw(st.sampled_from(order[order.index(src) + 1:])))
-        elif op == "triangle":
+        elif op in ("triangle", "nested"):
             h = draw_map(draw, ids, f"{src}t")
             z = deterministic(src, h)
             g = draw_map(draw, list(nodes[z]), f"{z}u")
             y = deterministic(z, g)
             deterministic(src, {x: g[h[x]] for x in ids}, y)
+            if op == "nested":  # C joins Z and Y; E joins C and Y, so E's fork is Y
+                c = declared(z)
+                declared(y, c)
+                e = declared(c)
+                declared(y, e)
         elif op == "repeat" and any(s["map"] for s in steps):
             s = draw(st.sampled_from([s for s in steps if s["map"]]))
             deterministic(s["src"], s["map"], s["dst"], s["cuts"])

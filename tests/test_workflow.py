@@ -5,6 +5,7 @@ from cbr.reconstruction import Reconstruction, UniformPreimage
 from cbr.transform import CostRecord, DeclaredHuman, Transform
 from cbr.workflow import CLASS_LEVEL, LEVELS, AlphabetMismatch, Edge, Interval, WorkflowGraph
 from conftest import make_grouping
+from oracles import workflow_oracle
 
 UNI = Reconstruction("uni", UniformPreimage())
 
@@ -96,6 +97,17 @@ class TestValidation:
         ]
         with pytest.raises(ValueError, match="decisional sink"):
             WorkflowGraph(nodes, edges)
+
+    @pytest.mark.parametrize("order", ["AB", "BA"])
+    def test_transform_on_two_edges_rejected(self, order):
+        """Per-edge results are keyed by transform name, so one transform on
+        two edges would be one entry, and the total would follow edge order."""
+        nodes = {n: symbolic(n, h) for n, h in {"S": 20.0, "A": 10.0, "B": 4.0, "D": 1.0}.items()}
+        decide = declared("decide", nodes["D"], 0.0, "H")
+        joins = {n: Edge(n, "D", decide) for n in "AB"}
+        edges = [Edge("S", n, declared(f"to{n}", nodes[n], 0.0, "H")) for n in "AB"]
+        with pytest.raises(ValueError, match="^transform 'decide' is on more than one edge$"):
+            WorkflowGraph(nodes, edges + [joins[n] for n in order])
 
     def test_enumerated_chain_accepts_matching_pushforward(self):
         u8 = uniform("u8", [str(i) for i in range(8)])
@@ -191,6 +203,28 @@ class TestAccumulation:
         g = diamond(branch_kinds=("M", "M"))
         ben = g.total_benefit(shared_mi_bits=6.0)
         assert ben.hi == pytest.approx(9 + 1)
+
+    def test_joint_whose_fork_is_a_joint(self):
+        """N2 joins X -> N1 -> N2 and X -> N2: [4, 8]. N3 joins N1 -> N3 and
+        N2 -> N3: [1, 4]. N4's fork is the joint N2, and the branch through
+        N3 brings [5, 8], narrower than N2's [4, 8]: less N2, its bounds are
+        lo 1 over hi 0, which the joint takes as plain numbers, as the
+        oracle does: [4, 8] + [1, 0 + 1]."""
+        bits = {"X": 10.0, "N1": 8.0, "N2": 6.0, "N3": 9.0, "N4": 5.0}
+        kinds = {("X", "N1"): "M", ("N1", "N2"): "M", ("X", "N2"): "M", ("N1", "N3"): "H",
+                 ("N2", "N3"): "H", ("N3", "N4"): "M", ("N2", "N4"): "M"}
+        nodes = {n: symbolic(n, h) for n, h in bits.items()}
+        g = WorkflowGraph(nodes, [
+            Edge(src, dst, declared(src + dst, nodes[dst], 0.0, kind))
+            for (src, dst), kind in kinds.items()
+        ])
+        assert g._fork_of("N4")[0] == "N2"
+        assert g.total_benefit() == Interval(5.0, 9.0)
+        uniform_pmfs = {n: dict.fromkeys(map(str, range(2 ** int(h))), 2.0 ** -h)
+                        for n, h in bits.items()}
+        edges = [dict(src=src, dst=dst, kind=kind, cost=1.0, d=0.0)
+                 for (src, dst), kind in kinds.items()]
+        assert workflow_oracle(uniform_pmfs, edges, "N4")["benefit"]["actual"] == {(5.0, 9.0)}
 
     @pytest.mark.parametrize("order", ["ab", "ba"])
     @pytest.mark.parametrize("kind, hi", [("H", 12.0), ("M", 10.0)])
