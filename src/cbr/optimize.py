@@ -143,7 +143,9 @@ def _apply(g: WorkflowGraph, e: Edge, target: str, field_name: str, value):
         if scope == "edge" and name == f"{e.src}->{e.dst}":
             if field_name != "enabled":
                 raise ValueError(f"unknown edge field {field_name!r}")
-            return bool(value)
+            if not isinstance(value, bool):
+                raise TypeError(f"{value!r} is not true or false")
+            return value
     except (TypeError, OverflowError) as exc:  # null, a list, a fraction, or too large a number
         raise ValueError(f"bad value for {target}.{field_name}: {exc}") from None
     return None

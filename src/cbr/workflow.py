@@ -150,7 +150,8 @@ class WorkflowGraph:
             self._out[e.src].append(e)
             self._in[e.dst].append(e)
             first_in.setdefault(e.dst, i)
-        # networkx sees node names only, and is not kept
+        # networkx sees node names only, and is not kept; it checks for a
+        # cycle and gives the order, and no result depends on which order
         g = nx.DiGraph()
         g.add_nodes_from(self.nodes)
         g.add_edges_from((e.src, e.dst) for e in self.edges)
@@ -187,23 +188,40 @@ class WorkflowGraph:
             raise ValueError("exactly one decisional sink required")
         self.decisional = decisional
 
-        # joint -> (fork, node kinds of the edges between fork and joint), or
-        # None when the arriving branches share no ancestor
-        rank = {n: i for i, n in enumerate(self._order)}
+        # each node's ancestors, itself included, as a bitset over positions
+        # in the topological order, filled along that order
+        bit = {n: 1 << i for i, n in enumerate(self._order)}
+        anc = {}
+        for n in self._order:
+            anc[n] = bit[n]
+            for e in self._in[n]:
+                anc[n] |= anc[e.src]
+
+        # joint -> (fork, node kinds of the edges between fork and joint). The
+        # fork is the lowest common ancestor of the in-edges' sources: the one
+        # common ancestor from which no other common ancestor descends. Joints
+        # are taken by name, so that the first error does not depend on order
         self._joints = {}
-        for n in self.nodes:
+        for n in sorted(self.nodes):
             if len(self._in[n]) < 2:
                 continue
-            common = set.intersection(*(nx.ancestors(g, e.src) | {e.src} for e in self._in[n]))
+            common = -1  # every bit set
+            for e in self._in[n]:
+                common &= anc[e.src]
             if not common:
-                self._joints[n] = None
-                continue
-            fork = max(common, key=rank.__getitem__)
-            between = (nx.descendants(g, fork) | {fork}) & (nx.ancestors(g, n) | {n})
+                raise ValueError(f"no common branch point for joint {n}")
+            above = 0  # common ancestors of another common ancestor
+            for c in self.nodes:
+                if common & bit[c]:
+                    above |= anc[c] ^ bit[c]
+            lowest = sorted(c for c in self.nodes if common & ~above & bit[c])
+            if len(lowest) > 1:
+                raise ValueError(f"joint {n} has several branch points: {', '.join(lowest)}")
+            fork = lowest[0]
             kinds = frozenset(
                 e.transform.node_kind
                 for e in self.edges
-                if e.src in between and e.dst in between
+                if anc[e.src] & bit[fork] and anc[n] & bit[e.dst]
             )
             self._joints[n] = fork, kinds
         self._terms_cache: dict = {}
@@ -222,14 +240,6 @@ class WorkflowGraph:
             if e.transform.name == name:
                 return e
         raise KeyError(name)
-
-    def _fork_of(self, joint: str) -> tuple:
-        """(latest common ancestor of the branches arriving at ``joint``,
-        node kinds of the edges between it and ``joint``)."""
-        fork = self._joints[joint]
-        if fork is None:
-            raise ValueError(f"no common branch point for joint {joint}")
-        return fork
 
     # -- analysis ---------------------------------------------------------
 
@@ -308,19 +318,11 @@ class WorkflowGraph:
         total = acc[self.decisional]
         return total if np.ndim(total) else float(total)  # np.maximum gives numpy scalars
 
-    def total_benefit(
-        self,
-        entropy_mode: str = "actual",
-        shared_mi_bits: float = 0.0,
-    ) -> Interval:
+    def total_benefit(self, entropy_mode: str = "actual") -> Interval:
         """Benefit interval accumulated from sources to the decisional sink."""
-        return self._accumulate_benefit(
-            self.edge_benefits(entropy_mode), entropy_mode, shared_mi_bits
-        )
+        return self._accumulate_benefit(self.edge_benefits(entropy_mode), entropy_mode)
 
-    def _accumulate_benefit(
-        self, per_edge: dict, entropy_mode: str, shared_mi_bits: float
-    ) -> Interval:
+    def _accumulate_benefit(self, per_edge: dict, entropy_mode: str) -> Interval:
         """Accumulate per-edge benefits (transform name -> bits) to the sink."""
         h = entropy if entropy_mode == "actual" else max_entropy
         acc: dict = {}
@@ -332,7 +334,7 @@ class WorkflowGraph:
                 e = incoming[0]
                 acc[n] = acc[e.src] + per_edge[e.transform.name]
             else:
-                fork, branch_kinds = self._fork_of(n)
+                fork, branch_kinds = self._joints[n]
                 base = acc[fork]
                 # each branch less the fork, bound by bound: plain floats, as
                 # a branch narrower than a joint fork's interval inverts them
@@ -340,31 +342,19 @@ class WorkflowGraph:
                 lo = max(t.lo - base.lo for t in totals)
                 hi = sum(t.hi - base.hi for t in totals)
                 if branch_kinds <= {"M"}:
-                    hi = min(hi - shared_mi_bits, h(self.nodes[fork]))
+                    hi = min(hi, h(self.nodes[fork]))
                 acc[n] = base + Interval(min(lo, hi), hi)
         return acc[self.decisional]
 
-    def overall_cbr(
-        self,
-        merge: str = "sum",
-        entropy_mode: str = "actual",
-        shared_mi_bits: float = 0.0,
-    ) -> Interval:
+    def overall_cbr(self, merge: str = "sum", entropy_mode: str = "actual") -> Interval:
         cost = self.total_cost(merge)
-        return self.total_benefit(entropy_mode, shared_mi_bits).scale(1.0 / cost.amount)
+        return self.total_benefit(entropy_mode).scale(1.0 / cost.amount)
 
-    def analyze(
-        self,
-        entropy_mode: str = "actual",
-        merge: str = "sum",
-        shared_mi_bits: float = 0.0,
-    ) -> MetricsReport:
+    def analyze(self, entropy_mode: str = "actual", merge: str = "sum") -> MetricsReport:
         per_edge = self.edge_metrics(entropy_mode)
         cost = self.total_cost(merge)
         ben = self._accumulate_benefit(
-            {name: m.benefit_bits for name, m in per_edge.items()},
-            entropy_mode,
-            shared_mi_bits,
+            {name: m.benefit_bits for name, m in per_edge.items()}, entropy_mode
         )
         overall = OverallMetrics(cost, ben, ben.scale(1.0 / cost.amount))
         notes = []
@@ -423,8 +413,7 @@ class WorkflowGraph:
                     return tag
             return None
         # branching: machine branch parallel with a visual branch feeding H
-        for joint in self._joints:
-            _, kinds = self._fork_of(joint)
+        for joint, (_, kinds) in self._joints.items():
             downstream = [e.transform.node_kind for e in self._out[joint]]
             arriving = {e.transform.node_kind for e in self._in[joint]}
             if "M" in kinds and "V" in kinds and ("H" in downstream or "H" in arriving):

@@ -95,24 +95,21 @@ def workflow_oracle(nodes: dict, edges: list, decisional: str) -> dict:
     ("actual") or log2 of the letter count ("maximal"). A source node
     holds [0, 0]; a node with one in-edge holds its source's interval plus
     that benefit. A node with two or more in-edges, parallel ones
-    included, is a joint. Its fork is a lowest common ancestor of the
-    in-edges' sources (each counted as its own ancestor): a common
-    ancestor from which no other common ancestor can be reached; a joint
-    whose sources share no ancestor is an error. Each arriving branch
-    brings its source's interval plus the edge's benefit, less the fork's
-    interval, bound by bound; the joint holds the fork's interval plus
+    included, is a joint. Its fork is the lowest common ancestor of the
+    in-edges' sources (each counted as its own ancestor): the common
+    ancestor from which no other common ancestor can be reached. A joint
+    whose sources share no ancestor, or that has several lowest common
+    ancestors, is an error. Each arriving branch brings its source's
+    interval plus the edge's benefit, less the fork's interval, bound by
+    bound; the joint holds the fork's interval plus
     [max of the branches' lo, sum of their hi]. When every edge between
     fork and joint is a machine ("M") edge, that hi is capped at H(fork),
     and lo is at most hi.
 
-    Fork rule: where a joint has more than one lowest common ancestor, the
-    rule does not choose, and the result holds the interval for each
-    choice.
-
     The cost under "sum" adds every edge's cost; under "max_parallel" it
     is the costliest path from a source to ``decisional``.
 
-    Returns {"benefit": {mode: set of (lo, hi)}, "cost": {merge: amount}}.
+    Returns {"benefit": {mode: (lo, hi)}, "cost": {merge: amount}}.
     """
     into = {v: [e for e in edges if e["dst"] == v] for v in nodes}
     outof = {v: [e for e in edges if e["src"] == v] for v in nodes}
@@ -139,7 +136,9 @@ def workflow_oracle(nodes: dict, edges: list, decisional: str) -> dict:
         lowest = [c for c in common if not any(o in descendants[c] for o in common - {c})]
         if not lowest:
             raise ValueError(f"no common ancestor for joint {v}")
-        forks[v] = lowest
+        if len(lowest) > 1:
+            raise ValueError(f"joint {v} has lowest common ancestors {sorted(lowest)}")
+        forks[v] = lowest[0]
 
     def machine_only(fork: str, joint: str) -> bool:
         between = descendants[fork] & ancestors[joint]
@@ -151,31 +150,23 @@ def workflow_oracle(nodes: dict, edges: list, decisional: str) -> dict:
     }
     benefit = {}
     for mode, h in entropies.items():
-        results = set()
-
-        def accumulate(i: int, acc: dict) -> None:
-            """Fill ``acc`` from ``order[i]`` on, once per choice of forks."""
-            if i == len(order):
-                results.add(acc[decisional])
-                return
-            v = order[i]
+        acc = {}
+        for v in order:
             arriving = [(acc[e["src"]], h[e["src"]] - h[e["dst"]] - e["d"]) for e in into[v]]
             if not arriving:
-                accumulate(i + 1, {**acc, v: (0.0, 0.0)})
+                acc[v] = (0.0, 0.0)
             elif len(arriving) == 1:
                 (lo, hi), b = arriving[0]
-                accumulate(i + 1, {**acc, v: (lo + b, hi + b)})
+                acc[v] = (lo + b, hi + b)
             else:
-                for fork in forks[v]:
-                    base_lo, base_hi = acc[fork]
-                    lo = max(lo + b - base_lo for (lo, _), b in arriving)
-                    hi = math.fsum(hi + b - base_hi for (_, hi), b in arriving)
-                    if machine_only(fork, v):
-                        hi = min(hi, h[fork])
-                    accumulate(i + 1, {**acc, v: (base_lo + min(lo, hi), base_hi + hi)})
-
-        accumulate(0, {})
-        benefit[mode] = results
+                fork = forks[v]
+                base_lo, base_hi = acc[fork]
+                lo = max(lo + b - base_lo for (lo, _), b in arriving)
+                hi = math.fsum(hi + b - base_hi for (_, hi), b in arriving)
+                if machine_only(fork, v):
+                    hi = min(hi, h[fork])
+                acc[v] = (base_lo + min(lo, hi), base_hi + hi)
+        benefit[mode] = acc[decisional]
 
     dearest = {}
     for v in order:

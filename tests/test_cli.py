@@ -241,6 +241,39 @@ def test_joint_whose_fork_is_a_joint(tmp_path, capsys):
     assert "total benefit: [5, 9] bits\n" in capsys.readouterr().out
 
 
+def tie_edges(first: str, second: str) -> list:
+    """X -> ``first`` and X -> ``second``, in that order; A and B each -> C
+    and -> E; C and E -> D. D's lowest common ancestors are A and B."""
+    return [(src, dst, src + dst, "H") for src, dst in [
+        ("X", first), ("X", second), ("A", "C"), ("A", "E"), ("B", "C"), ("B", "E"),
+        ("C", "D"), ("E", "D"),
+    ]]
+
+
+TIE_BITS = {"X": 10, "A": 6, "B": 8, "C": 1, "E": 1, "D": 0.5}
+TIED = "joint D has several branch points: A, B"
+
+
+@pytest.mark.parametrize("command", [
+    ["validate"], ["analyze"], ["report", "--format", "dot"], ["report", "--format", "csv"],
+])
+@pytest.mark.parametrize("bits, edges, message", [
+    (TIE_BITS, tie_edges("A", "B"), TIED),
+    (TIE_BITS, tie_edges("B", "A"), TIED),
+    ({"A": 4, "B": 3, "D": 1}, [("A", "D", "AD", "H"), ("B", "D", "BD", "H")],
+     "no common branch point for joint D"),
+], ids=["tie", "tie reversed", "two sources"])
+def test_joint_without_one_branch_point(bits, edges, message, command, tmp_path, capsys):
+    """A joint needs exactly one lowest common ancestor, in every edge order
+    and under every command that builds the graph."""
+    path = tmp_path / "joint.json"
+    path.write_text(declared_spec(bits, edges))
+    assert main(command + [str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message} at graph\n"
+
+
 class TestBadSpecs:
     """Schema-valid documents with a bad per-kind field, and non-finite
     numbers, end in one ``error:`` line and exit 1."""

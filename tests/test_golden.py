@@ -230,6 +230,29 @@ def test_optimize_commands(tmp_path, monkeypatch):
         assert_matches(recorded[cmd], output)
 
 
+def test_outputs_do_not_read_the_topological_order(tmp_path, monkeypatch):
+    """Every recorded output is the same when the graph takes another
+    topological order: networkx's lexicographic one, keyed on reversed
+    node names."""
+    import networkx as nx
+
+    default, lexicographic = nx.topological_sort, nx.lexicographical_topological_sort
+    moved = []  # per graph: whether its order differs from networkx's default
+
+    def reversed_names(g):
+        order = list(lexicographic(g, key=lambda name: name[::-1]))
+        moved.append(order != list(default(g)))
+        return order
+
+    monkeypatch.setattr(nx, "topological_sort", reversed_names)
+    test_fixtures_command()
+    for name in FIXTURE_NAMES:
+        test_fixture_commands(name, tmp_path, monkeypatch)
+    test_enum_commands(tmp_path, monkeypatch)
+    test_optimize_commands(tmp_path, monkeypatch)
+    assert any(moved)
+
+
 @pytest.mark.parametrize(
     "recorded, actual, same",
     [

@@ -7,6 +7,7 @@ from dataclasses import replace
 import pytest
 
 from cbr.alphabet import entropy, symbolic
+from cbr.cli import main
 from cbr.optimize import (
     DEFAULT_SEED,
     Dimension,
@@ -164,6 +165,38 @@ class TestApplyAssignment:
     def test_unknown_field_rejected(self):
         with pytest.raises(ValueError, match="unknown transform field"):
             apply_assignment(chain_graph(), {("transform:t0", "levels"): 4})
+
+
+class TestEdgeEnabled:
+    """An edge's ``enabled`` value is JSON true or false, and nothing else."""
+
+    TARGET = "edge:Z1->Zb2"
+
+    def space(self, value) -> ParamSpace:
+        return ParamSpace((Dimension(self.TARGET, "enabled", (value,)),))
+
+    @pytest.mark.parametrize("value", ["false", "no", 0, 1, None, []])
+    def test_only_true_or_false(self, value, tmp_path, capsys):
+        message = f"bad value for {self.TARGET}.enabled: {value!r} is not true or false"
+        spec = load_fixture("plot_vs_binary").spec
+        for search in (exhaustive_search, greedy_search):
+            with pytest.raises(ValueError) as exc:
+                search(spec.build_graph(), self.space(value))
+            assert str(exc.value) == message
+        data = dict(spec.data, param_space={"dimensions": [
+            {"target": self.TARGET, "field": "enabled", "values": [value]}
+        ]})
+        path = tmp_path / "enabled.json"
+        path.write_text(json.dumps(data))
+        assert main(["validate", str(path)]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_disabled_edge_leaves_a_joint_without_branch_point(self):
+        """Without Z1 -> Zb2, the branches into Z4 share no ancestor."""
+        g = load_fixture("plot_vs_binary").spec.build_graph()
+        with pytest.raises(ValueError) as exc:
+            exhaustive_search(g, self.space(False))
+        assert str(exc.value) == "no common branch point for joint Z4"
 
 
 def fork_join_graph(coarse_q_first: bool = False) -> WorkflowGraph:

@@ -199,11 +199,6 @@ class TestAccumulation:
         assert ben.hi == pytest.approx(10 + (2 - 1))
         assert ben.lo == pytest.approx(8 + (2 - 1))
 
-    def test_shared_information_tightens_machine_cap(self):
-        g = diamond(branch_kinds=("M", "M"))
-        ben = g.total_benefit(shared_mi_bits=6.0)
-        assert ben.hi == pytest.approx(9 + 1)
-
     def test_joint_whose_fork_is_a_joint(self):
         """N2 joins X -> N1 -> N2 and X -> N2: [4, 8]. N3 joins N1 -> N3 and
         N2 -> N3: [1, 4]. N4's fork is the joint N2, and the branch through
@@ -218,13 +213,13 @@ class TestAccumulation:
             Edge(src, dst, declared(src + dst, nodes[dst], 0.0, kind))
             for (src, dst), kind in kinds.items()
         ])
-        assert g._fork_of("N4")[0] == "N2"
+        assert g._joints["N4"][0] == "N2"
         assert g.total_benefit() == Interval(5.0, 9.0)
         uniform_pmfs = {n: dict.fromkeys(map(str, range(2 ** int(h))), 2.0 ** -h)
                         for n, h in bits.items()}
         edges = [dict(src=src, dst=dst, kind=kind, cost=1.0, d=0.0)
                  for (src, dst), kind in kinds.items()]
-        assert workflow_oracle(uniform_pmfs, edges, "N4")["benefit"]["actual"] == {(5.0, 9.0)}
+        assert workflow_oracle(uniform_pmfs, edges, "N4")["benefit"]["actual"] == (5.0, 9.0)
 
     @pytest.mark.parametrize("order", ["ab", "ba"])
     @pytest.mark.parametrize("kind, hi", [("H", 12.0), ("M", 10.0)])
@@ -238,7 +233,7 @@ class TestAccumulation:
         }
         tail = Edge("Y", "Z", declared("d", nodes["Z"], 0.0, "H", 2.0))
         g = WorkflowGraph(nodes, [parallel[name] for name in order] + [tail])
-        assert g._fork_of("Y") == ("X", frozenset({kind}))
+        assert g._joints["Y"] == ("X", frozenset({kind}))
         # branches 10-2-1 = 7 and 10-2-3 = 5: from their max to their sum,
         # and a machine joint capped at H(X) = 10; then 2-1 = 1 bit more
         assert g.total_benefit() == Interval(7.0 + 1.0, hi + 1.0)
