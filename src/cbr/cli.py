@@ -133,9 +133,10 @@ def _cmd_report(args) -> int:
         print(graph.to_dot(entropy_mode=mode))
         return 0
     report = graph.analyze(entropy_mode=mode)
-    print(",".join(["step", *_EDGE_FIELDS]))
-    for name, m in report.per_edge.items():
-        print(",".join([name, *map(str, _edge_values(m))]))
+    # every row is formatted before the header is printed: an undefined
+    # ratio on any edge prints nothing
+    rows = [",".join([name, *map(str, _edge_values(m))]) for name, m in report.per_edge.items()]
+    print("\n".join([",".join(["step", *_EDGE_FIELDS]), *rows]))
     return 0
 
 

@@ -16,19 +16,48 @@ from .reconstruction import Reconstruction, distortion_bits
 ENTROPY_MODES = ("actual", "maximal")
 
 
+def entropy_function(entropy_mode: str):
+    """The entropy of ``entropy_mode``: ``entropy``, or ``max_entropy``
+    (the uniform-distribution value) for "maximal"."""
+    if entropy_mode not in ENTROPY_MODES:
+        raise ValueError(f"unknown entropy mode {entropy_mode!r}")
+    return entropy if entropy_mode == "actual" else max_entropy
+
+
 @dataclass(frozen=True)
 class StepMetrics:
-    acr: float
-    pdr: float
-    ecr: float
-    benefit_bits: float
+    """One step's H(in), H(out) and D_KL in bits, its cost, and the entropy
+    mode of the two entropies. Every measure is derived from these when it
+    is read, so an undefined ratio raises then, not when the record is built."""
+
+    h_in: float
+    h_out: float
+    d_kl: float
     cost: CostRecord
-    incremental_cbr: float
     entropy_mode: str
 
     def __post_init__(self):
-        if self.entropy_mode not in ENTROPY_MODES:
-            raise ValueError(f"unknown entropy mode {self.entropy_mode!r}")
+        entropy_function(self.entropy_mode)  # an unknown mode raises
+
+    @property
+    def acr(self) -> float:
+        return alphabet_compression_ratio(self.h_in, self.h_out)
+
+    @property
+    def pdr(self) -> float:
+        return potential_distortion_ratio(self.d_kl, self.h_in)
+
+    @property
+    def ecr(self) -> float:
+        return effectual_compression_ratio(self.h_in, self.h_out, self.d_kl)
+
+    @property
+    def benefit_bits(self) -> float:
+        return benefit(self.h_in, self.h_out, self.d_kl)
+
+    @property
+    def incremental_cbr(self) -> float:
+        return incremental_cbr(self.benefit_bits, self.cost)
 
 
 def alphabet_compression_ratio(h_in: float, h_out: float) -> float:
@@ -74,30 +103,10 @@ def step_metrics(
     entropy_mode: str = "actual",
     machine_centric: bool = False,
 ) -> StepMetrics:
-    """Assemble all per-step measures for one edge of a workflow."""
-    if entropy_mode not in ENTROPY_MODES:
-        raise ValueError(f"unknown entropy mode {entropy_mode!r}")
-    h = entropy if entropy_mode == "actual" else max_entropy
-    h_in = h(input)
-    h_out = h(output)
+    """The per-step record of one edge of a workflow."""
+    h = entropy_function(entropy_mode)
     d = distortion_bits(g, t, input, machine_centric=machine_centric)
-    return _step_metrics(h_in, h_out, d, t.cost, entropy_mode)
-
-
-def _step_metrics(
-    h_in: float, h_out: float, d: float, cost: CostRecord, entropy_mode: str
-) -> StepMetrics:
-    """``step_metrics`` from one edge's H(in), H(out) and D_KL."""
-    b = benefit(h_in, h_out, d)
-    return StepMetrics(
-        acr=alphabet_compression_ratio(h_in, h_out),
-        pdr=potential_distortion_ratio(d, h_in),
-        ecr=effectual_compression_ratio(h_in, h_out, d),
-        benefit_bits=b,
-        cost=cost,
-        incremental_cbr=incremental_cbr(b, cost),
-        entropy_mode=entropy_mode,
-    )
+    return StepMetrics(h(input), h(output), d, t.cost, entropy_mode)
 
 
 def grouping_check(input: Alphabet, grouping: Transform) -> float:

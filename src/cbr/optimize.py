@@ -23,11 +23,13 @@ from .transform import (
     Quantizer,
     Transform,
 )
+from .metrics import entropy_function
 from .reconstruction import DeclaredDivergence, Reconstruction
 from .workflow import AlphabetMismatch, Edge, Interval, WorkflowGraph
 
 DEFAULT_SEED = 0x9E3779B97F4A7C15  # documented fixed seed; override with CBR_SEED
 EXHAUSTIVE_CAP = 10**6
+OBJECTIVES = ("midpoint", "lo")  # a search scores each CBR interval by its midpoint or its lo
 
 
 @dataclass(frozen=True)
@@ -221,6 +223,9 @@ class _Evaluator:
 
     def __init__(self, g: WorkflowGraph, space: ParamSpace, entropy_mode: str, merge: str,
                  objective: str, revisits: bool):
+        entropy_function(entropy_mode)  # an unknown mode raises before any evaluation
+        if objective not in OBJECTIVES:
+            raise ValueError(f"unknown objective {objective!r}")
         self.g, self.entropy_mode, self.merge, self.objective = g, entropy_mode, merge, objective
         self.dims = dims = space.dimensions
         self.keys = [(d.target, d.field) for d in dims]

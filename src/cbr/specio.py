@@ -549,13 +549,10 @@ def resolve_metric(graph: WorkflowGraph, path: str, entropy_mode: str) -> float:
         if metric == "cost":
             return graph.edge_by_transform(name).transform.cost.amount
         m = graph.edge_metrics(entropy_mode)[name]
-        return {
-            "acr": m.acr,
-            "pdr": m.pdr,
-            "ecr": m.ecr,
-            "benefit": m.benefit_bits,
-            "cbr": m.incremental_cbr,
-        }[metric]
+        # only the metric asked for is read: another may be an undefined ratio
+        attr = {"acr": "acr", "pdr": "pdr", "ecr": "ecr", "benefit": "benefit_bits",
+                "cbr": "incremental_cbr"}[metric]
+        return getattr(m, attr)
     if scope == "path":
         nodes = name.split(",")
         b, c = graph.path_metrics(nodes, entropy_mode)

@@ -17,7 +17,7 @@ import numpy as np
 from .alphabet import Alphabet, entropy, max_entropy
 from .transform import CostRecord, Transform, DeclaredHuman, Step
 from .reconstruction import Reconstruction, step_distortion
-from .metrics import ENTROPY_MODES, _step_metrics, benefit
+from .metrics import StepMetrics, entropy_function
 
 MERGES = ("sum", "max_parallel")  # how cost accumulates: over all edges, or along the critical path
 
@@ -118,8 +118,9 @@ class WorkflowGraph:
     The structure (topological order, in- and out-edges, each joint's fork)
     and each edge's ``Step``, with its letter codes, are computed once, here;
     so is each node given as None, as the image of its first in-edge.
-    Each edge's H(in), H(out) and D_KL are computed once per entropy mode,
-    when first needed.
+    Each edge's ``StepMetrics`` (its H(in), H(out) and D_KL) is built once
+    per entropy mode, when first needed; every per-edge, path and total
+    measure reads it.
     """
 
     def __init__(
@@ -224,7 +225,7 @@ class WorkflowGraph:
                 if anc[e.src] & bit[fork] and anc[n] & bit[e.dst]
             )
             self._joints[n] = fork, kinds
-        self._terms_cache: dict = {}
+        self._records: dict = {}  # (edge index, entropy mode) -> StepMetrics
 
     # -- structure helpers ------------------------------------------------
 
@@ -243,39 +244,24 @@ class WorkflowGraph:
 
     # -- analysis ---------------------------------------------------------
 
-    def _terms(self, i: int, entropy_mode: str) -> tuple:
-        """(H(in), H(out), D_KL) of edge ``i``, computed once per entropy mode."""
-        key = (i, entropy_mode == "actual")
-        terms = self._terms_cache.get(key)
-        if terms is None:
+    def _record(self, i: int, entropy_mode: str) -> StepMetrics:
+        """The StepMetrics of edge ``i``, built once per entropy mode."""
+        key = (i, entropy_mode)
+        if key not in self._records:
+            h = entropy_function(entropy_mode)
             e, step = self.edges[i], self._steps[i]
-            h = entropy if key[1] else max_entropy
             d = step_distortion(e.reconstruction, step)
-            terms = self._terms_cache[key] = h(step.input), h(self.nodes[e.dst]), d
-        return terms
-
-    def edge_benefits(self, entropy_mode: str = "actual") -> dict:
-        """Per-edge benefit in bits, without the ratio guards.
-
-        Ratios are undefined on zero-entropy inputs, but benefit still is;
-        a fully-determined (presenter-perspective) workflow has benefit 0.
-        """
-        out = {}
-        for i, e in enumerate(self.edges):
-            _check_scored(e)
-            out[e.transform.name] = benefit(*self._terms(i, entropy_mode))
-        return out
+            self._records[key] = StepMetrics(
+                h(step.input), h(self.nodes[e.dst]), d, e.transform.cost, entropy_mode)
+        return self._records[key]
 
     def edge_metrics(self, entropy_mode: str = "actual") -> dict:
+        """Transform name -> StepMetrics, in edge order. Benefit is defined
+        on every edge; a ratio on a zero-entropy input raises when read."""
         out = {}
         for i, e in enumerate(self.edges):
             _check_scored(e)
-            # checked here, as step_metrics checks it, so errors keep their order
-            if entropy_mode not in ENTROPY_MODES:
-                raise ValueError(f"unknown entropy mode {entropy_mode!r}")
-            out[e.transform.name] = _step_metrics(
-                *self._terms(i, entropy_mode), e.transform.cost, entropy_mode
-            )
+            out[e.transform.name] = self._record(i, entropy_mode)
         return out
 
     def total_cost(self, merge: str = "sum") -> CostRecord:
@@ -320,11 +306,8 @@ class WorkflowGraph:
 
     def total_benefit(self, entropy_mode: str = "actual") -> Interval:
         """Benefit interval accumulated from sources to the decisional sink."""
-        return self._accumulate_benefit(self.edge_benefits(entropy_mode), entropy_mode)
-
-    def _accumulate_benefit(self, per_edge: dict, entropy_mode: str) -> Interval:
-        """Accumulate per-edge benefits (transform name -> bits) to the sink."""
-        h = entropy if entropy_mode == "actual" else max_entropy
+        h = entropy_function(entropy_mode)
+        per_edge = self.edge_metrics(entropy_mode)
         acc: dict = {}
         for n in self._order:
             incoming = self._in[n]
@@ -332,13 +315,13 @@ class WorkflowGraph:
                 acc[n] = Interval(0.0, 0.0)
             elif len(incoming) == 1:
                 e = incoming[0]
-                acc[n] = acc[e.src] + per_edge[e.transform.name]
+                acc[n] = acc[e.src] + per_edge[e.transform.name].benefit_bits
             else:
                 fork, branch_kinds = self._joints[n]
                 base = acc[fork]
                 # each branch less the fork, bound by bound: plain floats, as
                 # a branch narrower than a joint fork's interval inverts them
-                totals = [acc[e.src] + per_edge[e.transform.name] for e in incoming]
+                totals = [acc[e.src] + per_edge[e.transform.name].benefit_bits for e in incoming]
                 lo = max(t.lo - base.lo for t in totals)
                 hi = sum(t.hi - base.hi for t in totals)
                 if branch_kinds <= {"M"}:
@@ -353,9 +336,7 @@ class WorkflowGraph:
     def analyze(self, entropy_mode: str = "actual", merge: str = "sum") -> MetricsReport:
         per_edge = self.edge_metrics(entropy_mode)
         cost = self.total_cost(merge)
-        ben = self._accumulate_benefit(
-            {name: m.benefit_bits for name, m in per_edge.items()}, entropy_mode
-        )
+        ben = self.total_benefit(entropy_mode)
         overall = OverallMetrics(cost, ben, ben.scale(1.0 / cost.amount))
         notes = []
         if entropy_mode == "maximal":
@@ -364,18 +345,22 @@ class WorkflowGraph:
 
     def path_metrics(self, node_path: list, entropy_mode: str = "actual") -> tuple:
         """(benefit, cost) summed along a given node path."""
-        per_edge = self.edge_benefits(entropy_mode)
-        b = 0.0
-        c = 0.0
-        for e, *_ in self.path_terms(node_path, entropy_mode):
-            b += per_edge[e.transform.name]
+        b = c = 0.0
+        for e, m in self._hops(node_path, entropy_mode):
+            b += m.benefit_bits
             c += e.transform.cost.amount
         return b, c
 
     def path_terms(self, node_path: list, entropy_mode: str = "actual"):
-        """Yield (edge, H(in), H(out), D_KL) for each hop of a node path; a
-        hop with no edge, or with parallel edges, which a node path cannot
-        tell apart, raises when it is reached."""
+        """Yield (edge, H(in), H(out), D_KL) for each hop of a node path."""
+        for e, m in self._hops(node_path, entropy_mode):
+            yield e, m.h_in, m.h_out, m.d_kl
+
+    def _hops(self, node_path: list, entropy_mode: str):
+        """Yield (edge, StepMetrics) for each hop of a node path; a hop with
+        no edge, or with parallel edges, which a node path cannot tell
+        apart, raises when it is reached."""
+        entropy_function(entropy_mode)  # an unknown mode raises on a path of no hops too
         for src, dst in zip(node_path, node_path[1:]):
             hop = [e for e in self._out.get(src, ()) if e.dst == dst]
             if not hop:
@@ -385,7 +370,7 @@ class WorkflowGraph:
                 raise ValueError(f"hop {src}->{dst} has parallel edges {names}: "
                                  "a node path does not choose one")
             # list.index finds hop[0] itself: an equal edge would share its hop
-            yield (hop[0], *self._terms(self.edges.index(hop[0]), entropy_mode))
+            yield hop[0], self._record(self.edges.index(hop[0]), entropy_mode)
 
     # -- classification ---------------------------------------------------
 
@@ -423,26 +408,24 @@ class WorkflowGraph:
     # -- export -----------------------------------------------------------
 
     def to_dot(self, entropy_mode: str = "actual") -> str:
-        h = entropy if entropy_mode == "actual" else max_entropy
+        h = entropy_function(entropy_mode)
         lines = ["digraph workflow {", "  rankdir=LR;"]
         for name, a in self.nodes.items():
             label = f"{name}\\nH={h(a):.4g} bits"
             shape = "doubleoctagon" if name == self.decisional else "box"
             lines.append(f'  "{name}" [label="{label}", shape={shape}];')
+        labels = [f"{e.transform.name} [{e.transform.node_kind}]" for e in self.edges]
         try:
-            per_edge = self.edge_metrics(entropy_mode)
+            # every label is formatted before any is emitted: an undefined
+            # ratio on one edge leaves every edge without metrics
+            labels = [
+                f"{label}\\nACR={m.acr:.4g} PDR={m.pdr:.4g}\\n"
+                f"B={m.benefit_bits:.4g} bits CBR={m.incremental_cbr:.4g}"
+                for label, m in zip(labels, self.edge_metrics(entropy_mode).values())
+            ]
         except ValueError:
-            per_edge = {}
-        for e in self.edges:
-            m = per_edge.get(e.transform.name)
-            if m is not None:
-                label = (
-                    f"{e.transform.name} [{e.transform.node_kind}]\\n"
-                    f"ACR={m.acr:.4g} PDR={m.pdr:.4g}\\n"
-                    f"B={m.benefit_bits:.4g} bits CBR={m.incremental_cbr:.4g}"
-                )
-            else:
-                label = f"{e.transform.name} [{e.transform.node_kind}]"
+            pass
+        for e, label in zip(self.edges, labels):
             lines.append(f'  "{e.src}" -> "{e.dst}" [label="{label}"];')
         lines.append("}")
         return "\n".join(lines)

@@ -11,6 +11,7 @@ from cbr.metrics import (
     incremental_cbr,
     machine_cbr,
     potential_distortion_ratio,
+    StepMetrics,
     step_metrics,
 )
 from cbr.reconstruction import (
@@ -93,6 +94,23 @@ class TestStepMetrics:
         g = Reconstruction("exact", ExactConditional())
         with pytest.raises(ValueError, match="entropy mode"):
             step_metrics(GROUP_422, g, U8, pushforward(GROUP_422, U8), entropy_mode="typical")
+
+    def test_ratios_derived_when_read(self):
+        m = StepMetrics(h_in=8.0, h_out=2.0, d_kl=1.0, cost=CostRecord("time", 5.0, "s"),
+                        entropy_mode="actual")
+        assert (m.acr, m.pdr, m.ecr) == (0.25, 0.125, 0.375)
+        assert (m.benefit_bits, m.incremental_cbr) == (5.0, 1.0)
+
+    def test_undefined_ratio_raises_when_read(self):
+        m = StepMetrics(0.0, 1.0, 0.0, COST, "maximal")
+        assert (m.benefit_bits, m.incremental_cbr) == (-1.0, -1.0)
+        for ratio in ("acr", "pdr", "ecr"):
+            with pytest.raises(ValueError, match="^transformation unnecessary"):
+                getattr(m, ratio)
+
+    def test_record_rejects_unknown_mode(self):
+        with pytest.raises(ValueError, match="^unknown entropy mode 'typical'$"):
+            StepMetrics(1.0, 1.0, 0.0, COST, "typical")
 
     def test_declared_human_step(self):
         out = symbolic("view", 4.0)

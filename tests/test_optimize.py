@@ -5,11 +5,13 @@ import random
 from dataclasses import replace
 
 import pytest
+from hypothesis import assume, given, reject, settings, strategies as st
 
 from cbr.alphabet import entropy, symbolic
 from cbr.cli import main
 from cbr.optimize import (
     DEFAULT_SEED,
+    OBJECTIVES,
     Dimension,
     ParamSpace,
     apply_assignment,
@@ -23,8 +25,10 @@ from cbr.optimize import (
 from cbr.specio import FIXTURE_NAMES, fixture_share_price, load_fixture, parse_spec
 from cbr.transform import CostRecord, DeclaredHuman, Quantizer, Step, Transform
 from cbr.workflow import AlphabetMismatch, Edge, WorkflowGraph
+from oracles import workflow_oracle
 from test_golden import ENUM_SPECS, _share_price_space
 from test_specio import enum_fork_join
+from test_step import COST, build, distortion_oracle, workflows
 
 
 def declared(name, out, d, kind, cost=1.0):
@@ -354,6 +358,15 @@ class TestExhaustive:
         with pytest.raises(ValueError, match="exhaustive cap"):
             exhaustive_search(chain_graph(), chain_space(), cap=4)
 
+    @pytest.mark.parametrize("search", [exhaustive_search, greedy_search])
+    def test_unknown_objective_rejected_before_evaluation(self, search, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("an assignment was evaluated")
+
+        monkeypatch.setattr(WorkflowGraph, "total_benefit", refuse)
+        with pytest.raises(ValueError, match="^unknown objective 'typo'$"):
+            search(chain_graph(), chain_space(), objective="typo")
+
 
 class TestGreedy:
     def test_single_dimension_equals_exhaustive(self):
@@ -603,3 +616,92 @@ class TestAgainstBruteForce:
             for a, c, b, _ in result.records
         )
 
+
+
+# -- exhaustive search against workflow_oracle, one call per assignment --------
+
+
+def oracle_search(nodes, steps, space, budget, mode, merge, objective):
+    """(best assignment, frontier) of ``space`` on a drawn workflow, each
+    assignment scored from first principles by ``workflow_oracle``. Scores
+    within 1e-9 tie, as do benefits on the frontier; a tie goes to the lower
+    cost, then to the first assignment. None for the best when no cost is
+    within ``budget``."""
+    [sink] = [v for v in nodes if all(s["src"] != v for s in steps)]
+    points = []  # (assignment, cost, benefit midpoint, score)
+    for assignment in space.assignments():
+        edges = []
+        for s in steps:
+            target = f"transform:{s['name']}"
+            d = distortion_oracle(s, nodes)
+            if s["map"] is None and s["bits"] is None:  # no reconstruction: the step's own
+                d = assignment.get((target, "declared_distortion_bits"), d)
+            cost = assignment.get((target, "cost_amount"), COST.amount)
+            edges.append(dict(src=s["src"], dst=s["dst"], kind="H" if s["map"] is None else "M",
+                              cost=cost, d=d))
+        oracle = workflow_oracle(nodes, edges, sink)
+        lo, hi = oracle["benefit"][mode]
+        cost = oracle["cost"][merge]
+        cbr_lo, cbr_hi = sorted((lo / cost, hi / cost))
+        score = 0.5 * (cbr_lo + cbr_hi) if objective == "midpoint" else cbr_lo
+        points.append((assignment, cost, 0.5 * (lo + hi), score))
+    feasible = [p for p in points if budget is None or p[1] <= budget.amount + 1e-12]
+    best = None
+    if feasible:
+        top = max(p[3] for p in feasible)
+        tied = [p for p in feasible if p[3] >= top - 1e-9]
+        best = min(tied, key=lambda p: p[1])[0]  # min keeps the first of equal costs
+    frontier = []
+    for _, cost, ben, _ in sorted(points, key=lambda p: (p[1], -p[2])):
+        if not frontier or ben > frontier[-1][1] + 1e-9:
+            frontier.append((cost, ben))
+    return best, frontier
+
+
+@st.composite
+def oracle_cases(draw):
+    """A drawn workflow with at least one edge and single forks, its graph,
+    and a space of at most 64 assignments over its costs and declared
+    distortions."""
+    nodes, steps = draw(workflows())
+    assume(steps)
+    try:
+        graph, _ = build(nodes, steps)
+    except ValueError as exc:  # a joint with several lowest common ancestors
+        assert "branch points" in str(exc)
+        reject()
+    fields = [(f"transform:{s['name']}", "cost_amount", (1.0, 2.0, 3.0)) for s in steps]
+    fields += [(f"transform:{s['name']}", "declared_distortion_bits", (0.0, 1.0, 4.0))
+               for s in steps if s["map"] is None]
+    dims = tuple(
+        Dimension(target, field_name, tuple(draw(st.lists(
+            st.sampled_from(values), min_size=1, max_size=3, unique=True))))
+        for target, field_name, values in draw(st.lists(
+            st.sampled_from(fields), min_size=1, max_size=4, unique=True))
+    )
+    space = ParamSpace(dims)
+    assume(space.combination_count() <= 64)
+    return nodes, steps, graph, space
+
+
+@settings(max_examples=200, deadline=None)
+@given(oracle_cases(), st.sampled_from(["actual", "maximal"]), st.sampled_from(["sum", "max_parallel"]),
+       st.sampled_from([None, 0.5, 0.8, 1.2]))
+def test_exhaustive_equals_oracle_brute_force(case, mode, merge, budget_share):
+    nodes, steps, graph, space = case
+    budget = None
+    if budget_share is not None:
+        budget = replace(COST, amount=graph.total_cost(merge).amount * budget_share)
+    for objective in OBJECTIVES:
+        best, frontier = oracle_search(nodes, steps, space, budget, mode, merge, objective)
+        if best is None:
+            with pytest.raises(ValueError, match="infeasible budget"):
+                exhaustive_search(graph, space, budget=budget, entropy_mode=mode, merge=merge,
+                                  objective=objective)
+            continue
+        result = exhaustive_search(graph, space, budget=budget, entropy_mode=mode, merge=merge,
+                                   objective=objective)
+        assert result.best_assignment == best, objective
+        assert len(result.frontier) == len(frontier)
+        for (cost, ben), (want_cost, want_ben) in zip(result.frontier, frontier):
+            assert cost == want_cost and math.isclose(ben, want_ben, rel_tol=1e-9, abs_tol=1e-9)

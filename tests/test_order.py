@@ -7,6 +7,9 @@ with the same code, and print the same error line or the same report: the
 per-edge objects keyed by transform name, every number within 1e-12,
 relative or absolute. The documents are the six bundled fixtures,
 ``enum_fork_join`` and the random workflows of ``tests/test_step.py``.
+
+On the same documents, ``emit_spec`` of a parsed spec parses back to a
+spec that ``analyze --json`` reports exactly as it reports the original.
 """
 
 import json
@@ -17,7 +20,7 @@ from pathlib import Path
 
 from hypothesis import given, settings, strategies as st
 
-from cbr.specio import FIXTURE_NAMES, load_fixture
+from cbr.specio import FIXTURE_NAMES, SpecError, emit_spec, load_fixture, parse_spec
 from test_golden import run
 from test_specio import enum_fork_join
 from test_step import workflows
@@ -84,9 +87,10 @@ def permuted(rng: random.Random, value, key=None):
     return value
 
 
-def analyze(directory: str, data: dict) -> list:
+def analyze(directory: str, data) -> list:
+    """``analyze --json`` on a document, or on the text of one."""
     path = Path(directory) / "spec.json"
-    path.write_text(json.dumps(data), encoding="utf-8")
+    path.write_text(data if isinstance(data, str) else json.dumps(data), encoding="utf-8")
     return run(["analyze", "--json", str(path)])
 
 
@@ -113,3 +117,15 @@ def test_analyze_does_not_depend_on_order(data, seed):
         assert err == other_err and err.startswith("error: ") and err.count("\n") == 1
     else:
         assert same(json.loads(out), json.loads(other_out))
+
+
+@settings(max_examples=100, deadline=None)
+@given(DOCUMENTS)
+def test_emitted_spec_analyzes_alike(data):
+    with tempfile.TemporaryDirectory() as directory:
+        try:
+            emitted = emit_spec(parse_spec(json.dumps(data)))
+        except SpecError:  # a tied joint, or no edge: nothing to emit
+            assert analyze(directory, data)[0] == 1
+            return
+        assert analyze(directory, emitted) == analyze(directory, data)

@@ -154,6 +154,19 @@ class TestResolveMetric:
             415.0, abs=1.0
         )
 
+    def test_edge_scope_reads_only_the_metric_asked_for(self):
+        # maximal mode: colormap's input Z3c has zero entropy, so its ratios
+        # are undefined, and every benefit is still defined
+        graph = load_fixture("share_price_chain").spec.build_graph()
+        assert resolve_metric(graph, "edge:aggregate:benefit", "maximal") == 21120.0
+        assert resolve_metric(graph, "edge:colormap:benefit", "maximal") == 0.0
+        colormap = graph.analyze("maximal").per_edge["colormap"]
+        assert colormap.benefit_bits == 0.0
+        with pytest.raises(ValueError, match="^transformation unnecessary: input entropy is zero$"):
+            colormap.acr
+        with pytest.raises(ValueError, match="transformation unnecessary"):
+            resolve_metric(graph, "edge:colormap:acr", "maximal")
+
     def test_path_scope(self):
         graph = fixture_plot_vs_binary().build_graph()
         cbr = resolve_metric(graph, "path:Z1,Za2,Za3,Z4:cbr", "actual")

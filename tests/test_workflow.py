@@ -1,6 +1,8 @@
 import pytest
 
 from cbr.alphabet import Alphabet, entropy, symbolic, uniform
+from cbr.metrics import step_metrics
+from cbr.optimize import ParamSpace, evaluate, exhaustive_search, greedy_search
 from cbr.reconstruction import Reconstruction, UniformPreimage
 from cbr.transform import CostRecord, DeclaredHuman, Transform
 from cbr.workflow import CLASS_LEVEL, LEVELS, AlphabetMismatch, Edge, Interval, WorkflowGraph
@@ -302,12 +304,51 @@ class TestAccumulation:
         g.edge_metrics()["va"] = None
         assert g.edge_metrics() == expected
 
+    def test_zero_entropy_input_keeps_its_benefit(self):
+        nodes = {"a": symbolic("a", 0.0), "b": symbolic("b", 0.0)}
+        g = WorkflowGraph(nodes, [Edge("a", "b", declared("t", nodes["b"], 0.5, "H", 2.0))])
+        m = g.analyze().per_edge["t"]
+        assert (m.h_in, m.h_out, m.d_kl) == (0.0, 0.0, 0.5)
+        assert m.benefit_bits == -0.5 and m.incremental_cbr == -0.25
+        assert g.total_benefit() == Interval(-0.5, -0.5)
+        assert g.path_metrics(["a", "b"]) == (-0.5, 2.0)
+        for ratio in ("acr", "pdr", "ecr"):
+            with pytest.raises(ValueError, match="transformation unnecessary"):
+                getattr(m, ratio)
+        assert "B=-0.5 bits" not in g.to_dot()
+
     def test_terms_per_entropy_mode(self):
         nodes = {"a": symbolic("a", 4.0, 8.0), "b": symbolic("b", 2.0)}
         g = WorkflowGraph(nodes, [Edge("a", "b", declared("t", nodes["b"], 0.0, "H"))])
         assert g.edge_metrics("actual")["t"].acr == pytest.approx(2.0 / 4.0)
         assert g.edge_metrics("maximal")["t"].acr == pytest.approx(2.0 / 8.0)
         assert g.edge_metrics("actual")["t"].acr == pytest.approx(2.0 / 4.0)
+
+
+# every entry point that takes an entropy mode, called on diamond()
+MODE_ENTRY_POINTS = {
+    "analyze": lambda g, mode: g.analyze(mode),
+    "edge_metrics": lambda g, mode: g.edge_metrics(mode),
+    "total_benefit": lambda g, mode: g.total_benefit(mode),
+    "overall_cbr": lambda g, mode: g.overall_cbr(entropy_mode=mode),
+    "path_metrics": lambda g, mode: g.path_metrics(["fork", "a", "joint"], mode),
+    "path_metrics of no hop": lambda g, mode: g.path_metrics(["fork"], mode),
+    "path_terms": lambda g, mode: list(g.path_terms(["fork", "a", "joint"], mode)),
+    "to_dot": lambda g, mode: g.to_dot(mode),
+    "evaluate": lambda g, mode: evaluate(g, mode),
+    "exhaustive_search": lambda g, mode: exhaustive_search(g, ParamSpace(()), entropy_mode=mode),
+    "greedy_search": lambda g, mode: greedy_search(g, ParamSpace(()), entropy_mode=mode, seed=0),
+    "step_metrics": lambda g, mode: step_metrics(
+        g.edges[0].transform, None, g.nodes["fork"], g.nodes["a"], mode
+    ),
+}
+
+
+@pytest.mark.parametrize("mode", ["typical", "bogus"])
+@pytest.mark.parametrize("entry", MODE_ENTRY_POINTS)
+def test_unknown_entropy_mode_rejected(entry, mode):
+    with pytest.raises(ValueError, match=f"^unknown entropy mode '{mode}'$"):
+        MODE_ENTRY_POINTS[entry](diamond(), mode)
 
 
 class TestClassification:
