@@ -10,7 +10,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .alphabet import Alphabet, entropy, max_entropy
-from .transform import CostRecord, Grouping, Step, Transform
+from .transform import CostRecord, Grouping, Transform, compiled
 from .reconstruction import Reconstruction, distortion_bits
 
 ENTROPY_MODES = ("actual", "maximal")
@@ -116,4 +116,4 @@ def grouping_check(input: Alphabet, grouping: Transform) -> float:
         raise ValueError("mode mismatch: grouping_check requires a grouping")
     if not input.is_enumerated:
         raise ValueError("mode mismatch: alphabet is not enumerated")
-    return Step(grouping, input).grouping_residual()
+    return compiled(grouping, input).grouping_residual()

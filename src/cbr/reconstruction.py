@@ -20,6 +20,7 @@ from .transform import (
     Quantizer,
     Step,
     Transform,
+    compiled,
     mutual_information,
 )
 
@@ -80,13 +81,13 @@ def impression(g: Reconstruction, t: Transform, input: Alphabet) -> Impression:
     the preimage of y.
     """
     _check_impression(g, t, input)
-    v = _impression_vector(g, Step(t, input))
+    v = _impression_vector(g, compiled(t, input))
     return Impression(input, Pmf.from_vector(input.letter_ids(), v))
 
 
 def _check_impression(g: Reconstruction, t: Transform, input: Alphabet) -> None:
     """Raise unless ``g`` gives ``t`` on ``input`` an enumerated impression;
-    the public functions check this before they build a ``Step``."""
+    the public functions check this before they take a ``Step``."""
     if isinstance(g.kind, DeclaredDivergence):
         raise ValueError("no enumerated impression available")
     k = t.kind
@@ -165,7 +166,7 @@ def distortion_bits(
     if isinstance(g.kind, DeclaredDivergence):
         return g.kind.bits
     _check_impression(g, t, input)
-    return step_distortion(g, Step(t, input), smooth)
+    return step_distortion(g, compiled(t, input), smooth)
 
 
 def step_distortion(g: Optional[Reconstruction], step: Step, smooth: bool = False) -> float:

@@ -534,37 +534,45 @@ class Fixture:
 
 
 def resolve_metric(graph: WorkflowGraph, path: str, entropy_mode: str) -> float:
-    """Evaluate a metric path like ``node:Z2:max_entropy`` on a graph."""
+    """Evaluate a metric path like ``node:Z2:max_entropy`` on a graph. An
+    unknown metric, node, edge or path raises ``ValueError``."""
     from .alphabet import entropy as h_actual, max_entropy as h_max
 
-    scope, rest = path.split(":", 1)
+    scope, _, rest = path.partition(":")
     if scope == "graph":
-        name, metric = "", rest
+        name, metric = "", rest  # the graph scope takes no name
     else:
-        name, metric = rest.split(":", 1)
+        name, _, metric = rest.partition(":")
     if scope == "node":
+        if metric not in ("entropy", "max_entropy"):
+            raise ValueError(f"unknown node metric {metric!r}")
+        if name not in graph.nodes:
+            raise ValueError(f"unknown node {name!r}")
         a = graph.nodes[name]
         return h_actual(a) if metric == "entropy" else h_max(a)
     if scope == "edge":
+        attrs = {"acr": "acr", "pdr": "pdr", "ecr": "ecr", "benefit": "benefit_bits",
+                 "cbr": "incremental_cbr"}
+        if metric != "cost" and metric not in attrs:
+            raise ValueError(f"unknown edge metric {metric!r}")
+        try:
+            e = graph.edge_by_transform(name)
+        except KeyError:
+            raise ValueError(f"unknown edge {name!r}") from None
         if metric == "cost":
-            return graph.edge_by_transform(name).transform.cost.amount
-        m = graph.edge_metrics(entropy_mode)[name]
+            return e.transform.cost.amount
         # only the metric asked for is read: another may be an undefined ratio
-        attr = {"acr": "acr", "pdr": "pdr", "ecr": "ecr", "benefit": "benefit_bits",
-                "cbr": "incremental_cbr"}[metric]
-        return getattr(m, attr)
+        return getattr(graph.edge_metrics(entropy_mode)[name], attrs[metric])
     if scope == "path":
+        if metric not in ("benefit", "cost", "cbr", "as_printed"):
+            raise ValueError(f"unknown path metric {metric!r}")
         nodes = name.split(",")
-        b, c = graph.path_metrics(nodes, entropy_mode)
-        if metric == "benefit":
-            return b
-        if metric == "cost":
-            return c
-        if metric == "cbr":
-            return b / c
+        if not set(nodes) <= graph.nodes.keys():
+            raise ValueError(f"unknown path {name!r}")
         if metric == "as_printed":
             return _as_printed_cbr(graph, nodes, entropy_mode)
-        raise ValueError(f"unknown path metric {metric!r}")
+        b, c = graph.path_metrics(nodes, entropy_mode)
+        return b if metric == "benefit" else c if metric == "cost" else b / c
     if scope == "graph":
         if metric in ("benefit_lo", "benefit_hi"):
             iv = graph.total_benefit(entropy_mode)

@@ -8,6 +8,7 @@ enumerate.
 """
 
 import math
+import weakref
 from dataclasses import dataclass
 from typing import Mapping, Optional, Union
 
@@ -217,21 +218,27 @@ def deterministic_map(t: Transform, input: Alphabet) -> dict:
     return dict(zip(input.letter_ids(), map(out_ids.__getitem__, codes.tolist())))
 
 
+def _has_codes(k: Kind) -> bool:
+    """Whether a step of kind ``k`` compiles to a letter code array."""
+    return isinstance(k, Grouping) or (isinstance(k, Quantizer) and k.boundaries is not None)
+
+
 class Step:
     """One transform on one input alphabet. A grouping or an enumerated
-    quantizer is compiled here, once, to ``codes`` and ``out_ids`` (as
-    ``deterministic_codes``); for any other kind both are None."""
+    quantizer is compiled here, once, to read-only ``codes`` and to
+    ``out_ids`` (as ``deterministic_codes``); for any other kind both are
+    None. Take steps from ``compiled``, which shares a live compiled one."""
 
-    __slots__ = ("transform", "input", "codes", "out_ids")
+    __slots__ = ("transform", "input", "codes", "out_ids", "__weakref__")
 
     def __init__(self, transform: Transform, input: Alphabet):
         self.transform, self.input = transform, input
         self.codes = self.out_ids = None
-        k = transform.kind
-        if isinstance(k, Grouping) or (isinstance(k, Quantizer) and k.boundaries is not None):
+        if _has_codes(transform.kind):
             if not input.is_enumerated:
                 raise ValueError("mode mismatch: deterministic transform requires enumerated input")
             self.codes, self.out_ids = deterministic_codes(transform, input)
+            self.codes.setflags(write=False)  # the step is shared: see ``compiled``
 
     def output(self, name: Optional[str] = None) -> Alphabet:
         """Image alphabet of the input under the transform."""
@@ -303,9 +310,29 @@ class Step:
         return abs(h_x - h_y - math.fsum(q * h_local))
 
 
+# (id(transform), id(input)) -> the live compiled Step of that pair. The
+# step holds both objects, so neither id is reused while its entry lives,
+# and the entry goes with the step's last reference
+_compiled = weakref.WeakValueDictionary()
+
+
+def compiled(t: Transform, input: Alphabet) -> Step:
+    """The Step of ``t`` on ``input``. A code-bearing step (a grouping, or a
+    quantizer with boundaries) is compiled once and shared for as long as
+    any caller holds it; any other step has nothing to compile, and is
+    built on each call."""
+    if not _has_codes(t.kind):
+        return Step(t, input)
+    key = (id(t), id(input))
+    step = _compiled.get(key)
+    if step is None:
+        step = _compiled[key] = Step(t, input)  # a step that raises is not kept
+    return step
+
+
 def pushforward(t: Transform, input: Alphabet, name: Optional[str] = None) -> Alphabet:
     """Image alphabet of ``input`` under ``t``."""
-    return Step(t, input).output(name)
+    return compiled(t, input).output(name)
 
 
 def _channel_input(k: Channel, input: Alphabet) -> np.ndarray:
@@ -336,7 +363,7 @@ def mutual_information(t: Transform, input: Alphabet) -> float:
     """I(input; output) in bits; equals output entropy for deterministic kinds."""
     if not input.is_enumerated:
         raise ValueError("requires enumerated model")
-    return Step(t, input).mutual_information()
+    return compiled(t, input).mutual_information()
 
 
 def _as_channel(t: Transform) -> Channel:

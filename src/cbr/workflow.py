@@ -15,7 +15,7 @@ import networkx as nx
 import numpy as np
 
 from .alphabet import Alphabet, entropy, max_entropy
-from .transform import CostRecord, Transform, DeclaredHuman, Step
+from .transform import CostRecord, Transform, DeclaredHuman, compiled
 from .reconstruction import Reconstruction, step_distortion
 from .metrics import StepMetrics, entropy_function
 
@@ -118,9 +118,9 @@ class WorkflowGraph:
     The structure (topological order, in- and out-edges, each joint's fork)
     and each edge's ``Step``, with its letter codes, are computed once, here;
     so is each node given as None, as the image of its first in-edge.
-    Each edge's ``StepMetrics`` (its H(in), H(out) and D_KL) is built once
-    per entropy mode, when first needed; every per-edge, path and total
-    measure reads it.
+    Each edge's D_KL is computed once, and its ``StepMetrics`` (H(in),
+    H(out) and that D_KL) once per entropy mode, when first needed; every
+    per-edge, path and total measure reads it.
     """
 
     def __init__(
@@ -168,11 +168,11 @@ class WorkflowGraph:
                 if n not in first_in:
                     raise ValueError(f"node {n} has no alphabet and no in-edge")
                 e = self.edges[first_in[n]]
-                steps[first_in[n]] = step = Step(e.transform, self.nodes[e.src])
+                steps[first_in[n]] = step = compiled(e.transform, self.nodes[e.src])
                 self.nodes[n] = step.output(n)
         for i, e in enumerate(self.edges):
             if steps[i] is None:
-                steps[i] = step = Step(e.transform, self.nodes[e.src])
+                steps[i] = step = compiled(e.transform, self.nodes[e.src])
                 if not _alphabets_close(step.output(), self.nodes[e.dst]):
                     raise AlphabetMismatch(
                         f"edge {e.transform.name}: pushforward does not match node {e.dst}"
@@ -226,6 +226,7 @@ class WorkflowGraph:
             )
             self._joints[n] = fork, kinds
         self._records: dict = {}  # (edge index, entropy mode) -> StepMetrics
+        self._d_kl: dict = {}  # edge index -> D_KL, which no entropy mode changes
 
     # -- structure helpers ------------------------------------------------
 
@@ -245,14 +246,17 @@ class WorkflowGraph:
     # -- analysis ---------------------------------------------------------
 
     def _record(self, i: int, entropy_mode: str) -> StepMetrics:
-        """The StepMetrics of edge ``i``, built once per entropy mode."""
+        """The StepMetrics of edge ``i``, built once per entropy mode over
+        the edge's one D_KL."""
         key = (i, entropy_mode)
         if key not in self._records:
             h = entropy_function(entropy_mode)
             e, step = self.edges[i], self._steps[i]
-            d = step_distortion(e.reconstruction, step)
+            if i not in self._d_kl:
+                self._d_kl[i] = step_distortion(e.reconstruction, step)
             self._records[key] = StepMetrics(
-                h(step.input), h(self.nodes[e.dst]), d, e.transform.cost, entropy_mode)
+                h(step.input), h(self.nodes[e.dst]), self._d_kl[i], e.transform.cost,
+                entropy_mode)
         return self._records[key]
 
     def edge_metrics(self, entropy_mode: str = "actual") -> dict:

@@ -15,6 +15,7 @@ from pathlib import Path
 import pytest
 
 from cbr.specio import emit_spec, load_fixture
+from test_specio import count_calls
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -39,3 +40,14 @@ def test_spec_metrics_on_a_fixture(layers):
     text = emit_spec(load_fixture("overview_interaction").spec)
     metrics = layers.spec_metrics(text, "")
     assert metrics and all(math.isfinite(value) for value, _ in metrics.values())
+
+
+def test_enum_analyze_compiles_each_step_once(monkeypatch):
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    gen = importlib.import_module("gen")
+    workloads = importlib.import_module("workloads")
+    text, _ = gen.enum_workflow(0)
+    calls = count_calls(monkeypatch, "deterministic_codes")
+    graph = workloads.EnumAnalyze.analyse(text)[0]
+    assert len(graph.edges) == 4
+    assert calls["deterministic_codes"] == 4

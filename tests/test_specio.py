@@ -186,6 +186,27 @@ class TestResolveMetric:
         with pytest.raises(ValueError, match="scope"):
             resolve_metric(graph, "cluster:x:benefit", "actual")
 
+    @pytest.mark.parametrize(
+        "path, message",
+        [
+            ("node:Z1:entropy_typo", "unknown node metric 'entropy_typo'"),
+            ("node:Z9:entropy", "unknown node 'Z9'"),
+            ("edge:aggregate:bogus", "unknown edge metric 'bogus'"),
+            ("edge:agregate:benefit", "unknown edge 'agregate'"),
+            ("path:Z1,Z2,Z3:benfit", "unknown path metric 'benfit'"),
+            ("path:Z1,Z22,Z3:benefit", "unknown path 'Z1,Z22,Z3'"),
+            ("graph:benefit_low", "unknown graph metric 'benefit_low'"),
+            # the graph scope takes no name, so a name is read as part of the metric
+            ("graph:main:cost", "unknown graph metric 'main:cost'"),
+        ],
+    )
+    def test_misspelled_name_or_metric(self, path, message):
+        graph = load_fixture("share_price_chain").spec.build_graph()
+        for mode in ("actual", "maximal"):
+            with pytest.raises(ValueError) as exc:
+                resolve_metric(graph, path, mode)
+            assert str(exc.value) == message
+
 
 class TestFixtures:
     @pytest.mark.parametrize("name", FIXTURE_NAMES)

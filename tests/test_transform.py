@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cbr.alphabet import entropy, enumerated, product, symbolic, uniform
+from cbr.alphabet import Alphabet, entropy, enumerated, product, symbolic, uniform
 from cbr.transform import (
     Aggregator,
     Channel,
@@ -13,6 +13,8 @@ from cbr.transform import (
     Grouping,
     Quantizer,
     Transform,
+    _compiled,
+    compiled,
     compose,
     deterministic_codes,
     identity_grouping,
@@ -161,6 +163,55 @@ class TestCompileMessages:
             with pytest.raises(ValueError) as exc:
                 compile_(self.QUANT, a)
             assert str(exc.value) == message
+
+
+class TestCompiled:
+    """``compiled`` shares a live code-bearing step per (transform, input)."""
+
+    T = make_grouping({"a": "y", "b": "z", "c": "y"})
+
+    def test_live_step_is_shared(self):
+        a = uniform("x", ["a", "b", "c"])
+        step = compiled(self.T, a)
+        assert compiled(self.T, a) is step
+        assert _compiled[(id(self.T), id(a))] is step
+        assert compiled(self.T, uniform("x", ["a", "b", "c"])) is not step
+
+    def test_entry_goes_with_the_step(self):
+        a = uniform("x", ["a", "b", "c"])
+        key = (id(self.T), id(a))
+        step = compiled(self.T, a)
+        assert key in _compiled
+        del a, step
+        assert key not in _compiled
+
+    def test_new_alphabet_gets_a_fresh_step(self):
+        # the new alphabet's model is made first, so that CPython usually
+        # gives the alphabet itself the id of the collected one
+        for _ in range(5):
+            model = uniform("x", ["b", "a", "c"]).model
+            first = compiled(self.T, uniform("x", ["a", "b", "c"]))
+            assert (first.codes.tolist(), first.out_ids) == ([0, 1, 0], ("y", "z"))
+            del first
+            a = Alphabet("x", model)
+            step = compiled(self.T, a)
+            assert step.input is a
+            assert (step.codes.tolist(), step.out_ids) == ([0, 1, 1], ("z", "y"))
+            del a, step
+
+    def test_failed_compilation_is_not_kept(self):
+        t = make_grouping({"a": "y"})
+        a = uniform("x", ["a", "b"])
+        for _ in range(2):
+            with pytest.raises(ValueError, match=r"^partial mapping: unmapped letters \['b'\]$"):
+                compiled(t, a)
+            assert (id(t), id(a)) not in _compiled
+
+    def test_symbolic_step_is_built_each_call(self):
+        series = product(symbolic("point32", 32.0), 720)
+        t = Transform("agg", Aggregator(12, "mean"), COST, "M")
+        assert compiled(t, series) is not compiled(t, series)
+        assert (id(t), id(series)) not in _compiled
 
 
 class TestOutputOrder:

@@ -1,13 +1,17 @@
+import json
+
 import pytest
 
 from cbr.alphabet import Alphabet, entropy, symbolic, uniform
 from cbr.metrics import step_metrics
 from cbr.optimize import ParamSpace, evaluate, exhaustive_search, greedy_search
 from cbr.reconstruction import Reconstruction, UniformPreimage
+from cbr.specio import parse_spec
 from cbr.transform import CostRecord, DeclaredHuman, Transform
 from cbr.workflow import CLASS_LEVEL, LEVELS, AlphabetMismatch, Edge, Interval, WorkflowGraph
 from conftest import make_grouping
 from oracles import workflow_oracle
+from test_specio import count_calls, enum_fork_join
 
 UNI = Reconstruction("uni", UniformPreimage())
 
@@ -349,6 +353,24 @@ MODE_ENTRY_POINTS = {
 def test_unknown_entropy_mode_rejected(entry, mode):
     with pytest.raises(ValueError, match=f"^unknown entropy mode '{mode}'$"):
         MODE_ENTRY_POINTS[entry](diamond(), mode)
+
+
+def test_one_distortion_per_edge_across_modes(monkeypatch):
+    graph = parse_spec(json.dumps(enum_fork_join())).build_graph()
+    calls = count_calls(monkeypatch, "step_distortion")
+    actual = graph.analyze("actual")
+    maximal = graph.analyze("maximal")
+    assert calls["step_distortion"] == len(graph.edges) == 4
+    for name, m in actual.per_edge.items():
+        assert maximal.per_edge[name].d_kl == m.d_kl > 0.0
+
+
+def test_graph_step_codes_are_read_only():
+    # a step is shared with every caller given the same transform and input
+    graph = parse_spec(json.dumps(enum_fork_join())).build_graph()
+    for step in graph._steps:
+        with pytest.raises(ValueError, match="read-only"):
+            step.codes[0] = 1
 
 
 class TestClassification:
