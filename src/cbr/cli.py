@@ -6,11 +6,10 @@ Exit codes: 0 success, 1 validation or analysis error, 2 usage error.
 import argparse
 import functools
 import json
-import operator
 import sys
 
 from . import optimize as opt
-from .metrics import ENTROPY_MODES
+from .metrics import ENTROPY_MODES, METRICS
 from .specio import (
     FIXTURE_NAMES,
     SpecError,
@@ -22,12 +21,12 @@ from .transform import CostRecord
 from .workflow import MERGES
 
 # each per-edge field of ``analyze --json`` and ``report --format csv``, and
-# the StepMetrics attribute it reads
+# the reader of the edge metric it shows
 _EDGE_FIELDS = {
-    "acr": "acr", "pdr": "pdr", "ecr": "ecr", "benefit_bits": "benefit_bits",
-    "cost": "cost.amount", "incremental_cbr": "incremental_cbr",
+    field: METRICS["edge", metric]
+    for field, metric in (("acr", "acr"), ("pdr", "pdr"), ("ecr", "ecr"),
+                          ("benefit_bits", "benefit"), ("cost", "cost"), ("incremental_cbr", "cbr"))
 }
-_edge_values = operator.attrgetter(*_EDGE_FIELDS.values())
 
 
 def _load(path: str):
@@ -77,7 +76,7 @@ def _cmd_analyze(args) -> int:
         payload = {
             "entropy_mode": report.entropy_mode,
             "per_edge": {
-                name: dict(zip(_EDGE_FIELDS, _edge_values(m)))
+                name: {field: read(m) for field, read in _EDGE_FIELDS.items()}
                 for name, m in report.per_edge.items()
             },
             "total_cost": o.total_cost.amount,
@@ -135,7 +134,8 @@ def _cmd_report(args) -> int:
     report = graph.analyze(entropy_mode=mode)
     # every row is formatted before the header is printed: an undefined
     # ratio on any edge prints nothing
-    rows = [",".join([name, *map(str, _edge_values(m))]) for name, m in report.per_edge.items()]
+    rows = [",".join([name, *(str(read(m)) for read in _EDGE_FIELDS.values())])
+            for name, m in report.per_edge.items()]
     print("\n".join([",".join(["step", *_EDGE_FIELDS]), *rows]))
     return 0
 

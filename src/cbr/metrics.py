@@ -1,4 +1,4 @@
-"""Per-step cost-benefit measures.
+"""Per-step cost-benefit measures, and the table of every reported metric.
 
 ACR, PDR and ECR are unitless ratios against the input entropy; benefit is
 in bits and may be negative; incremental CBR divides benefit by the step's
@@ -6,6 +6,7 @@ cost. The machine-centric CBR variant uses mutual information in place of
 an explicit reconstruction.
 """
 
+import operator
 from dataclasses import dataclass
 from typing import Optional
 
@@ -117,3 +118,55 @@ def grouping_check(input: Alphabet, grouping: Transform) -> float:
     if not input.is_enumerated:
         raise ValueError("mode mismatch: alphabet is not enumerated")
     return compiled(grouping, input).grouping_residual()
+
+
+def _path(graph, name: str, entropy_mode: str) -> tuple:
+    nodes = name.split(",")  # two or more nodes: one alone has no cost to divide by
+    if len(nodes) < 2 or not set(nodes) <= graph.nodes.keys():
+        raise KeyError(name)
+    return graph, nodes, entropy_mode
+
+
+def _as_printed(graph, nodes: list, entropy_mode: str) -> float:
+    """The case studies' literal per-branch sum of (H_out + D_KL)/C. It
+    disagrees with benefit/cost, and is reported as printed, not reconciled."""
+    total = 0.0
+    for _, m in graph._hops(nodes, entropy_mode):
+        total += (m.h_out + m.d_kl) / m.cost.amount
+    return total
+
+
+# A metric path ``<scope>:<name>:<metric>`` reads METRICS[scope, metric] of
+# SCOPES[scope](graph, name, entropy mode), the arguments of the scope's
+# readers; a KeyError there is a name the graph lacks
+SCOPES = {
+    "node": lambda graph, name, mode: (graph.nodes[name],),
+    "edge": lambda graph, name, mode: (graph.edge_metrics(mode)[name],),
+    "path": _path,
+    "graph": lambda graph, name, mode: (graph, mode),
+}
+
+# (scope, metric) -> reader. An edge's readers take its StepMetrics alone, as
+# the CLI's columns do, and read only their metric: another may be undefined
+METRICS = {
+    ("node", "entropy"): entropy,
+    ("node", "max_entropy"): max_entropy,
+    ("edge", "h_in"): lambda m: m.h_in,
+    ("edge", "h_out"): lambda m: m.h_out,
+    ("edge", "d_kl"): lambda m: m.d_kl,
+    ("edge", "acr"): lambda m: m.acr,
+    ("edge", "pdr"): lambda m: m.pdr,
+    ("edge", "ecr"): lambda m: m.ecr,
+    ("edge", "benefit"): lambda m: m.benefit_bits,
+    ("edge", "cbr"): lambda m: m.incremental_cbr,
+    ("edge", "cost"): lambda m: m.cost.amount,
+    ("path", "benefit"): lambda graph, nodes, mode: graph.path_metrics(nodes, mode)[0],
+    ("path", "cost"): lambda graph, nodes, mode: graph.path_metrics(nodes, mode)[1],
+    ("path", "cbr"): lambda graph, nodes, mode: operator.truediv(*graph.path_metrics(nodes, mode)),
+    ("path", "as_printed"): _as_printed,
+    ("graph", "benefit_lo"): lambda graph, mode: graph.total_benefit(mode).lo,
+    ("graph", "benefit_hi"): lambda graph, mode: graph.total_benefit(mode).hi,
+    ("graph", "cost"): lambda graph, mode: graph.total_cost().amount,
+    ("graph", "cbr_lo"): lambda graph, mode: graph.overall_cbr(entropy_mode=mode).lo,
+    ("graph", "cbr_hi"): lambda graph, mode: graph.overall_cbr(entropy_mode=mode).hi,
+}

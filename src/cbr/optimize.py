@@ -96,10 +96,17 @@ def _count(value) -> int:
     return int(value)
 
 
+def _number(value) -> float:
+    """``value`` as a cost or a bit count: a number, as the schema reads one."""
+    if isinstance(value, (bool, str)):
+        raise TypeError(f"{value!r} is not a number")
+    return float(value)
+
+
 def _apply_to_transform(t: Transform, field_name: str, value, input: Alphabet) -> Transform:
     k = t.kind
     if field_name == "cost_amount":
-        return replace(t, cost=replace(t.cost, amount=float(value)))
+        return replace(t, cost=replace(t.cost, amount=_number(value)))
     if field_name == "bins":
         if not isinstance(k, Quantizer):
             raise ValueError(f"{t.name} is not a quantizer")
@@ -119,7 +126,7 @@ def _apply_to_transform(t: Transform, field_name: str, value, input: Alphabet) -
     if field_name == "declared_distortion_bits":
         if not isinstance(k, DeclaredHuman):
             raise ValueError(f"{t.name} is not a declared step")
-        return replace(t, kind=replace(k, declared_distortion_bits=float(value)))
+        return replace(t, kind=replace(k, declared_distortion_bits=_number(value)))
     raise ValueError(f"unknown transform field {field_name!r}")
 
 
@@ -141,7 +148,7 @@ def _apply(g: WorkflowGraph, e: Edge, target: str, field_name: str, value):
                 raise ValueError(f"unknown reconstruction field {field_name!r}")
             if not isinstance(r.kind, DeclaredDivergence):
                 raise ValueError(f"{r.name} is not a declared divergence")
-            return replace(r, kind=DeclaredDivergence(float(value)))
+            return replace(r, kind=DeclaredDivergence(_number(value)))
         if scope == "edge" and name == f"{e.src}->{e.dst}":
             if field_name != "enabled":
                 raise ValueError(f"unknown edge field {field_name!r}")

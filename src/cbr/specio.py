@@ -33,7 +33,7 @@ from .reconstruction import (
     Reconstruction,
     UniformPreimage,
 )
-from .metrics import ENTROPY_MODES
+from .metrics import ENTROPY_MODES, METRICS, SCOPES
 from .workflow import CLASS_LEVEL, LEVELS, Edge, WorkflowGraph
 from .optimize import Dimension, ParamSpace, apply_dimension
 
@@ -60,7 +60,7 @@ SCHEMA = {
         "cost_model": {
             "type": "object",
             "required": ["kind", "unit"],
-            "properties": {"kind": {"type": "string"}, "unit": {"type": "string"}},
+            "properties": {"kind": {"enum": list(COST_KINDS)}, "unit": {"type": "string"}},
         },
         "fixture_tag": {"type": "string"},
         "alphabets": {
@@ -350,16 +350,8 @@ class WorkflowSpec:
     _graph: Optional[WorkflowGraph] = field(default=None, init=False, repr=False, compare=False)
 
     @property
-    def schema_version(self) -> str:
-        return self.data["schema_version"]
-
-    @property
     def entropy_mode(self) -> str:
         return self.data.get("entropy_mode", "actual")
-
-    @property
-    def fixture_tag(self) -> Optional[str]:
-        return self.data.get("fixture_tag")
 
     def alphabets(self) -> dict:
         cache: dict = {}
@@ -534,68 +526,20 @@ class Fixture:
 
 
 def resolve_metric(graph: WorkflowGraph, path: str, entropy_mode: str) -> float:
-    """Evaluate a metric path like ``node:Z2:max_entropy`` on a graph. An
-    unknown metric, node, edge or path raises ``ValueError``."""
-    from .alphabet import entropy as h_actual, max_entropy as h_max
-
+    """Evaluate a metric path like ``node:Z2:max_entropy`` by ``metrics.METRICS``.
+    An unknown metric, node, edge or path raises ``ValueError``; so does a one-node path."""
     scope, _, rest = path.partition(":")
-    if scope == "graph":
-        name, metric = "", rest  # the graph scope takes no name
-    else:
-        name, _, metric = rest.partition(":")
-    if scope == "node":
-        if metric not in ("entropy", "max_entropy"):
-            raise ValueError(f"unknown node metric {metric!r}")
-        if name not in graph.nodes:
-            raise ValueError(f"unknown node {name!r}")
-        a = graph.nodes[name]
-        return h_actual(a) if metric == "entropy" else h_max(a)
-    if scope == "edge":
-        attrs = {"acr": "acr", "pdr": "pdr", "ecr": "ecr", "benefit": "benefit_bits",
-                 "cbr": "incremental_cbr"}
-        if metric != "cost" and metric not in attrs:
-            raise ValueError(f"unknown edge metric {metric!r}")
-        try:
-            e = graph.edge_by_transform(name)
-        except KeyError:
-            raise ValueError(f"unknown edge {name!r}") from None
-        if metric == "cost":
-            return e.transform.cost.amount
-        # only the metric asked for is read: another may be an undefined ratio
-        return getattr(graph.edge_metrics(entropy_mode)[name], attrs[metric])
-    if scope == "path":
-        if metric not in ("benefit", "cost", "cbr", "as_printed"):
-            raise ValueError(f"unknown path metric {metric!r}")
-        nodes = name.split(",")
-        if not set(nodes) <= graph.nodes.keys():
-            raise ValueError(f"unknown path {name!r}")
-        if metric == "as_printed":
-            return _as_printed_cbr(graph, nodes, entropy_mode)
-        b, c = graph.path_metrics(nodes, entropy_mode)
-        return b if metric == "benefit" else c if metric == "cost" else b / c
-    if scope == "graph":
-        if metric in ("benefit_lo", "benefit_hi"):
-            iv = graph.total_benefit(entropy_mode)
-            return iv.lo if metric == "benefit_lo" else iv.hi
-        if metric == "cost":
-            return graph.total_cost().amount
-        if metric in ("cbr_lo", "cbr_hi"):
-            iv = graph.overall_cbr(entropy_mode=entropy_mode)
-            return iv.lo if metric == "cbr_lo" else iv.hi
-        raise ValueError(f"unknown graph metric {metric!r}")
-    raise ValueError(f"unknown metric scope {scope!r}")
-
-
-def _as_printed_cbr(graph: WorkflowGraph, nodes: list, entropy_mode: str) -> float:
-    """The case studies' literal per-branch sum of (H_out + D_KL)/C.
-
-    This disagrees with the benefit/cost form of the incremental ratio; it
-    is reported as an as-printed variant, not reconciled.
-    """
-    total = 0.0
-    for e, _, h_out, d in graph.path_terms(nodes, entropy_mode):
-        total += (h_out + d) / e.transform.cost.amount
-    return total
+    if scope not in SCOPES:
+        raise ValueError(f"unknown metric scope {scope!r}")
+    # the graph scope takes no name
+    name, _, metric = ("", "", rest) if scope == "graph" else rest.partition(":")
+    if (scope, metric) not in METRICS:
+        raise ValueError(f"unknown {scope} metric {metric!r}")
+    try:
+        args = SCOPES[scope](graph, name, entropy_mode)
+    except KeyError:
+        raise ValueError(f"unknown {scope} {name!r}") from None
+    return METRICS[scope, metric](*args)
 
 
 # op -> whether a computed value meets the expected one, given the tolerance

@@ -355,11 +355,6 @@ class WorkflowGraph:
             c += e.transform.cost.amount
         return b, c
 
-    def path_terms(self, node_path: list, entropy_mode: str = "actual"):
-        """Yield (edge, H(in), H(out), D_KL) for each hop of a node path."""
-        for e, m in self._hops(node_path, entropy_mode):
-            yield e, m.h_in, m.h_out, m.d_kl
-
     def _hops(self, node_path: list, entropy_mode: str):
         """Yield (edge, StepMetrics) for each hop of a node path; a hop with
         no edge, or with parallel edges, which a node path cannot tell

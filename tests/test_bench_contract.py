@@ -9,12 +9,14 @@ when it changes.
 """
 
 import importlib
+import json
 import math
 from pathlib import Path
 
 import pytest
 
 from cbr.specio import emit_spec, load_fixture
+from test_golden import run
 from test_specio import count_calls
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -51,3 +53,18 @@ def test_enum_analyze_compiles_each_step_once(monkeypatch):
     graph = workloads.EnumAnalyze.analyse(text)[0]
     assert len(graph.edges) == 4
     assert calls["deterministic_codes"] == 4
+
+
+def test_cli_columns_are_the_benchmark_csv_header(monkeypatch, tmp_path):
+    """The per-edge keys of ``analyze --json`` and the header of ``report
+    --format csv`` are the columns the benchmark's checks read."""
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    header = importlib.import_module("checks").CSV_HEADER
+    path = tmp_path / "overview_interaction.json"
+    path.write_text(emit_spec(load_fixture("overview_interaction").spec))
+    rc, out, _ = run(["analyze", "--json", str(path)])
+    assert rc == 0
+    per_edge = json.loads(out)["per_edge"]
+    assert per_edge and all(list(m) == header[1:] for m in per_edge.values())
+    rc, out, _ = run(["report", "--format", "csv", str(path)])
+    assert rc == 0 and out.splitlines()[0].split(",") == header

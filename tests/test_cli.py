@@ -9,7 +9,16 @@ import pytest
 
 from cbr import cli
 from cbr.cli import main
-from cbr.specio import emit_spec, fixture_plot_vs_binary, load_fixture
+from cbr.metrics import ENTROPY_MODES, METRICS
+from cbr.specio import (
+    FIXTURE_NAMES,
+    emit_spec,
+    fixture_plot_vs_binary,
+    load_fixture,
+    parse_spec,
+    resolve_metric,
+)
+from test_specio import enum_fork_join
 
 
 @pytest.fixture
@@ -327,6 +336,14 @@ class TestBadSpecs:
             "error: transform 'decide' is on more than one edge at graph\n"
         )
 
+    @pytest.mark.parametrize("command", ["validate", "analyze", "optimize"])
+    def test_unknown_cost_model_kind(self, command, tmp_path, capsys):
+        text = overview_with(lambda d: d.update(cost_model={"kind": "bogus", "unit": "s"}))
+        assert self.run(tmp_path, capsys, text, command) == (
+            "error: 'bogus' is not one of ['energy', 'time', 'monetary', 'abstract']"
+            " at cost_model/kind\n"
+        )
+
     @pytest.mark.parametrize("command", ["validate", "analyze"])
     def test_edgeless_graph(self, command, tmp_path, capsys):
         text = overview_with(lambda d: d["graph"].update(edges=[]))
@@ -429,6 +446,36 @@ class TestReport:
         lines = capsys.readouterr().out.strip().splitlines()
         assert lines[0] == "step,acr,pdr,ecr,benefit_bits,cost,incremental_cbr"
         assert len(lines) == 7
+
+
+# each edge metric path that the CLI shows, and its per-edge column there
+EDGE_COLUMNS = {"acr": "acr", "pdr": "pdr", "ecr": "ecr", "benefit": "benefit_bits",
+                "cost": "cost", "cbr": "incremental_cbr"}
+CLEAN_DOCS = {  # the documents whose edges all have defined ratios
+    **{name: emit_spec(load_fixture(name).spec) for name in FIXTURE_NAMES
+       if name != "share_price_chain"},
+    "enum_fork_join": json.dumps(enum_fork_join()),
+}
+
+
+@pytest.mark.parametrize("mode", ENTROPY_MODES)
+@pytest.mark.parametrize("name", CLEAN_DOCS)
+def test_edge_metric_paths_equal_the_cli_columns(name, mode, tmp_path, capsys):
+    """Every edge metric of the table, read through ``resolve_metric``,
+    equals the ``analyze --json`` column of the same measure; H(in), H(out)
+    and D_KL, which have no column, add up to the benefit column."""
+    path = tmp_path / f"{name}.json"
+    path.write_text(CLEAN_DOCS[name])
+    assert main(["analyze", "--json", "--mode", mode, str(path)]) == 0
+    per_edge = json.loads(capsys.readouterr().out)["per_edge"]
+    graph = parse_spec(CLEAN_DOCS[name]).build_graph()
+    edge_metrics = {metric for scope, metric in METRICS if scope == "edge"}
+    assert edge_metrics == {*EDGE_COLUMNS, "h_in", "h_out", "d_kl"}
+    for edge, columns in per_edge.items():
+        read = {m: resolve_metric(graph, f"edge:{edge}:{m}", mode) for m in edge_metrics}
+        for metric, column in EDGE_COLUMNS.items():
+            assert read[metric] == columns[column], (edge, metric)
+        assert read["h_in"] - read["h_out"] - read["d_kl"] == columns["benefit_bits"]
 
 
 class TestFixtures:

@@ -139,10 +139,17 @@ class TestApplyAssignment:
             ("transform:plot", "bins", True),
             ("transform:aggregate", "window", 12.5),
             ("transform:aggregate", "window", False),
+            ("transform:plot", "cost_amount", True),
+            ("transform:plot", "cost_amount", "3"),
+            ("transform:recognize", "declared_distortion_bits", False),
+            ("transform:recognize", "declared_distortion_bits", "0.5"),
+            ("reconstruction:lossless", "declared_bits", True),
+            ("reconstruction:lossless", "declared_bits", "0"),
         ],
     )
     def test_bad_value_rejected_as_a_search_rejects_it(self, target, field, value):
-        """A value that is not an integer: null, a list, a fraction or a bool."""
+        """A value that is not an integer: null, a list, a fraction or a bool;
+        or one that is not a number: a bool or a numeric string."""
         g = fixture_share_price(1).build_graph()
         with pytest.raises(ValueError) as by_dimension:
             apply_dimension(g, Dimension(target, field, (value,)))
@@ -150,6 +157,21 @@ class TestApplyAssignment:
             apply_assignment(g, {(target, field): value})
         assert str(by_assignment.value) == str(by_dimension.value)
         assert str(by_assignment.value).startswith(f"bad value for {target}.{field}: ")
+
+    @pytest.mark.parametrize("command", ["validate", "optimize"])
+    def test_numeric_string_rejected_by_the_cli(self, command, tmp_path, capsys):
+        spec = load_fixture("plot_vs_binary").spec
+        data = dict(spec.data, param_space={"dimensions": [
+            {"target": "transform:recognize_plot", "field": "cost_amount", "values": ["3"]}
+        ]})
+        path = tmp_path / "string.json"
+        path.write_text(json.dumps(data))
+        assert main([command, str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: bad value for transform:recognize_plot.cost_amount: '3' is not a number\n"
+        )
 
     def test_quantizer_bins_propagate_downstream(self):
         from cbr.alphabet import product

@@ -198,6 +198,8 @@ class TestResolveMetric:
             ("graph:benefit_low", "unknown graph metric 'benefit_low'"),
             # the graph scope takes no name, so a name is read as part of the metric
             ("graph:main:cost", "unknown graph metric 'main:cost'"),
+            # a path names two or more nodes: one alone has no cost to divide by
+            ("path:Z1:cbr", "unknown path 'Z1'"),
         ],
     )
     def test_misspelled_name_or_metric(self, path, message):

@@ -26,6 +26,7 @@ from cbr.reconstruction import (
     distortion_bits,
     impression,
 )
+from cbr.specio import resolve_metric
 from cbr.transform import (
     Aggregator,
     Channel,
@@ -461,6 +462,8 @@ def distortion_oracle(s: dict, nodes: dict) -> float:
     return kl_oracle({x: v / total for x, v in imp.items()}, p)
 
 
+TERMS = ("h_in", "h_out", "d_kl")  # an edge's metric paths of H(in), H(out) and D_KL
+
 ENTROPY_ORACLES = {
     "actual": lambda p: entropy_oracle(p.values()),
     "maximal": lambda p: math.log2(len(p)),
@@ -494,13 +497,14 @@ def test_graph_path_equals_public_path_and_oracles(workflow):
             assert m == step_metrics(e.transform, e.reconstruction, x, y, mode)
             h_in, h_out, d = h(nodes[s["src"]]), h(nodes[s["dst"]]), distortion_oracle(s, nodes)
             assert close(m.benefit_bits, h_in - h_out - d)
+            terms = [resolve_metric(graph, f"edge:{s['name']}:{t}", mode) for t in TERMS]
+            assert all(map(close, terms, (h_in, h_out, d)))
             hop = [s["src"], s["dst"]]
             if sum(t["src"] == s["src"] and t["dst"] == s["dst"] for t in steps) > 1:
                 with pytest.raises(ValueError, match="parallel edges"):
-                    list(graph.path_terms(hop, mode))
+                    graph.path_metrics(hop, mode)
             else:
-                [(first, *terms)] = graph.path_terms(hop, mode)
-                assert first is e and all(map(close, terms, (h_in, h_out, d)))
+                assert graph.path_metrics(hop, mode) == (m.benefit_bits, COST.amount)
     for mode in ENTROPY_ORACLES:
         ben = graph.total_benefit(mode)
         lo, hi = oracle["benefit"][mode]

@@ -262,7 +262,7 @@ class TestAccumulation:
         with pytest.raises(ValueError, match=message):
             g.path_metrics(["X", "Y", "Z"])
         with pytest.raises(ValueError, match=message):
-            list(g.path_terms(["X", "Y"]))
+            g.path_metrics(["X", "Y"])
         assert g.path_metrics(["Y", "Z"]) == (3.0, 2.0)
 
     def test_overall_cbr_scales_by_cost(self):
@@ -337,7 +337,6 @@ MODE_ENTRY_POINTS = {
     "overall_cbr": lambda g, mode: g.overall_cbr(entropy_mode=mode),
     "path_metrics": lambda g, mode: g.path_metrics(["fork", "a", "joint"], mode),
     "path_metrics of no hop": lambda g, mode: g.path_metrics(["fork"], mode),
-    "path_terms": lambda g, mode: list(g.path_terms(["fork", "a", "joint"], mode)),
     "to_dot": lambda g, mode: g.to_dot(mode),
     "evaluate": lambda g, mode: evaluate(g, mode),
     "exhaustive_search": lambda g, mode: exhaustive_search(g, ParamSpace(()), entropy_mode=mode),
