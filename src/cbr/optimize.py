@@ -22,6 +22,7 @@ from .transform import (
     DeclaredHuman,
     Quantizer,
     Transform,
+    _count,
 )
 from .metrics import entropy_function
 from .reconstruction import DeclaredDivergence, Reconstruction
@@ -87,13 +88,6 @@ def _seed() -> int:
 def _uniform_boundaries(lo: float, hi: float, k: int) -> tuple:
     step = (hi - lo) / k
     return tuple(lo + i * step for i in range(k)) + (hi,)
-
-
-def _count(value) -> int:
-    """``value`` as a bin count or a window: an integer, or a float that is one."""
-    if isinstance(value, bool) or int(value) != value:
-        raise TypeError(f"{value!r} is not an integer")
-    return int(value)
 
 
 def _number(value) -> float:

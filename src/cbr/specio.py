@@ -2,13 +2,15 @@
 
 A spec file declares alphabets, transforms, reconstructions and the graph
 wiring them together, plus an optional parameter space for the optimizer.
-Fixtures encode the case-study workflows with their expected metric values
-and provenance tags.
+Fixtures are the case-study workflows: each is a spec document under
+``fixtures/``, checked against its expected metric values and provenance
+tags.
 """
 
 import json
 import math
 from dataclasses import dataclass, field
+from importlib import resources
 from typing import Optional, Union
 
 from jsonschema import Draft202012Validator
@@ -34,7 +36,7 @@ from .reconstruction import (
     UniformPreimage,
 )
 from .metrics import ENTROPY_MODES, METRICS, SCOPES
-from .workflow import CLASS_LEVEL, LEVELS, Edge, WorkflowGraph
+from .workflow import CLASS_LEVEL, LEVELS, Edge, WorkflowGraph, _check_scored
 from .optimize import Dimension, ParamSpace, apply_dimension
 
 SCHEMA_VERSION = "1"
@@ -253,8 +255,9 @@ class SpecError(ValueError):
 
 
 # How a per-kind field that SCHEMA does not check fails when it is missing
-# (KeyError) or of the wrong type (the others).
-_FIELD_ERRORS = (KeyError, TypeError, AttributeError)
+# (KeyError) or of the wrong type (the others; OverflowError is an infinite
+# count).
+_FIELD_ERRORS = (KeyError, TypeError, AttributeError, OverflowError)
 
 
 def _field_error(exc: Exception, what: str, path: str) -> SpecError:
@@ -363,6 +366,9 @@ class WorkflowSpec:
 
     def _transforms(self, alphabets: dict) -> dict:
         out = {}
+        model = self.data.get("cost_model")
+        # a budget is read in the cost model's kind and unit
+        model_unit = (model["kind"], model["unit"]) if model is not None else None
         for i, td in enumerate(_by_name(self.data["transforms"], "transforms").values()):
             kd = td["kind"]
             t = kd["type"]
@@ -372,6 +378,11 @@ class WorkflowSpec:
             except _FIELD_ERRORS as exc:
                 raise _field_error(exc, f"{t} transform", f"{path}.kind") from None
             c = td["cost"]
+            if model_unit is not None and (c["kind"], c["unit"]) != model_unit:
+                raise SpecError(
+                    f"cost in {c['kind']}/{c['unit']}, but the cost_model is {'/'.join(model_unit)}",
+                    f"{path}.cost",
+                )
             out[td["name"]] = Transform(
                 td["name"],
                 kind,
@@ -424,7 +435,12 @@ class WorkflowSpec:
                         f"{path}.reconstruction",
                     )
                 r = recons[ed["reconstruction"]]
-            edges.append(Edge(ed["from"], ed["to"], transforms[ed["transform"]], r))
+            edge = Edge(ed["from"], ed["to"], transforms[ed["transform"]], r)
+            try:
+                _check_scored(edge)
+            except ValueError as exc:
+                raise SpecError(str(exc), path) from None
+            edges.append(edge)
         gd = self.data["graph"]
         # factor/helper alphabets that no edge touches stay out of the graph
         used = {e.src for e in edges} | {e.dst for e in edges}
@@ -467,6 +483,11 @@ def parse_spec(text: str) -> WorkflowSpec:
         data = json.loads(text, parse_constant=_reject_constant)
     except json.JSONDecodeError as exc:
         raise SpecError(f"malformed JSON: {exc}")
+    return _validated(data)
+
+
+def _validated(data) -> WorkflowSpec:
+    """The spec of the decoded document ``data``, validated as ``parse_spec`` does."""
     if not _conforms(data):
         error = best_match(_VALIDATOR.iter_errors(data))
         if error is not None:
@@ -569,110 +590,34 @@ def check_fixture(f: Fixture) -> list:
     return rows
 
 
-def _cost(amount: float) -> dict:
-    return {"kind": "time", "amount": amount, "unit": "min"}
-
-
-def _sym(name: str, entropy_bits: float, max_entropy_bits: Optional[float] = None) -> dict:
-    return {
-        "name": name,
-        "model": {
-            "type": "symbolic",
-            "entropy_bits": entropy_bits,
-            "max_entropy_bits": max_entropy_bits if max_entropy_bits is not None else entropy_bits,
-        },
-    }
-
-
-def _prod(name: str, factor: str, count: int) -> dict:
-    return {"name": name, "model": {"type": "product", "factor": factor, "count": count}}
-
-
-def _step(name: str, node_kind: str, cost: float, kind: dict) -> dict:
-    return {"name": name, "node_kind": node_kind, "cost": _cost(cost), "kind": kind}
-
-
-def _declared(name: str, output: str, distortion: float, cost: float, node_kind: str) -> dict:
-    kind = {"type": "declared", "output": output, "distortion_bits": distortion}
-    return _step(name, node_kind, cost, kind)
-
-
-def _edge(src: str, dst: str, transform: str, recon: Optional[str] = None) -> dict:
-    e = {"from": src, "to": dst, "transform": transform}
-    if recon:
-        e["reconstruction"] = recon
-    return e
-
-
-def _document(
-    tag: str, mode: str, decisional: str, alphabets: list, transforms: list, edges: list,
-    recons: Optional[list] = None,
-) -> WorkflowSpec:
-    """The parsed spec of one case study, with its costs in minutes."""
-    data = {
-        "schema_version": SCHEMA_VERSION,
-        "entropy_mode": mode,
-        "cost_model": {"kind": "time", "unit": "min"},
-        "fixture_tag": tag,
-        "alphabets": alphabets,
-        "transforms": transforms,
-    }
-    if recons is not None:
-        data["reconstructions"] = recons
-    data["graph"] = {"edges": edges, "decisional": decisional}
-    return parse_spec(json.dumps(data))
+def _fixture_text(name: str) -> str:
+    """The spec document ``fixtures/<name>.json`` of the package."""
+    return resources.files(__package__).joinpath("fixtures", f"{name}.json").read_text("utf-8")
 
 
 def fixture_share_price(r: int = 1) -> WorkflowSpec:
     """Share-price analysis chain: aggregate, plot, features, correlations.
 
     Five stages of symbolic bookkeeping whose maximal entropies fall from
-    23040r bits at the raw alphabet to under 2r bits at the decision.
+    23040r bits at the raw alphabet to under 2r bits at the decision. The
+    document is the chain at r = 1; for more share prices every product
+    count is r times as large, and the r(r-1)/2 pairwise correlations
+    ``Z3c`` and ``Z4c`` become products of ``corrvar`` and ``colorvar``.
     """
     if r < 1:
         raise ValueError("r must be positive")
+    data = json.loads(_fixture_text("share_price_chain"))
     pairs = r * (r - 1) // 2
-    alphabets = [
-        _sym("point32", 32.0),
-        _prod("Z1", "point32", 720 * r),
-        _prod("Z2", "point32", 60 * r),
-        _sym("plotpoint", 7.0),
-        _prod("Z3", "plotpoint", 60 * r),
-        _sym("featvar", 3.0),
-        _prod("Z4", "featvar", 10 * r),
-        _sym("corrvar", 30.0),
-        _sym("colorvar", math.log2(5)),
-        _sym("decvar", math.log2(3)),
-        _prod("Z5", "decvar", r),
-    ]
-    if pairs > 0:
-        alphabets += [_prod("Z3c", "corrvar", pairs), _prod("Z4c", "colorvar", pairs)]
-    else:
-        alphabets += [_sym("Z3c", 0.0), _sym("Z4c", 0.0)]
-    transforms = [
-        _step("aggregate", "M", 1, {"type": "aggregator", "window": 12, "statistic": "mean"}),
-        _step("plot", "V", 1, {"type": "quantizer", "levels": 128}),
-        _declared("recognize", "Z4", 0.0, 5, "H"),
-        _declared("correlate", "Z3c", 0.0, 1, "M"),
-        _declared("colormap", "Z4c", 0.0, 1, "V"),
-        _declared("decide_features", "Z5", 0.0, 2, "H"),
-        _declared("decide_corr", "Z5", 0.0, 2, "H"),
-    ]
-    recons = [{"name": "lossless", "kind": {"type": "declared", "bits": 0.0}}]
-    edges = [
-        _edge("Z1", "Z2", "aggregate", "lossless"),
-        _edge("Z2", "Z3", "plot", "lossless"),
-        _edge("Z3", "Z4", "recognize"),
-        _edge("Z2", "Z3c", "correlate"),
-        _edge("Z3c", "Z4c", "colormap"),
-        _edge("Z4", "Z5", "decide_features"),
-        _edge("Z4c", "Z5", "decide_corr"),
-    ]
-    return _document("share_price_chain", "maximal", "Z5", alphabets, transforms, edges, recons)
+    pair_factors = {"Z3c": "corrvar", "Z4c": "colorvar"}
+    for a in data["alphabets"]:
+        if a["model"]["type"] == "product":
+            a["model"]["count"] *= r
+        elif pairs and a["name"] in pair_factors:
+            a["model"] = {"type": "product", "factor": pair_factors[a["name"]], "count": pairs}
+    return _validated(data)
 
 
 def share_price_expected(r: int) -> list:
-    pairs = r * (r - 1) // 2
     corr_tol = max(0.005 * r * (r - 1), 1e-9)
     return [
         Expectation("node:Z1:max_entropy", "approx", 23040.0 * r, 1e-6, "formula"),
@@ -688,262 +633,97 @@ def share_price_expected(r: int) -> list:
 def fixture_plot_vs_binary(presenter: bool = False) -> WorkflowSpec:
     """Time-series plot vs binary-digits view for dissemination.
 
-    Human costs and distortions are declared estimates; the binary view
-    carries a much larger feature-recognition distortion and cost. The
-    presenter variant models the speaker's own perspective, where every
+    The presenter variant models the speaker's own perspective, where every
     alphabet is already certain and the total benefit is zero.
     """
-    if presenter:
-        h1, m1 = 0.0, 0.0
-        ha2 = hb2_max = hfeat = hdec = 0.0
-        d_plot, d_rec_a, d_rec_b = 0.0, 0.0, 0.0
-    else:
-        h1, m1 = 420.0, 1920.0
-        ha2, hb2_max = 420.0, 1920.0
-        hfeat = math.log2(9)  # two 3-valued feature variables
-        hdec = math.log2(3)
-        d_plot, d_rec_a, d_rec_b = 5.0, 1.83, 100.0
-    alphabets = [
-        _sym("Z1", h1, m1),
-        _sym("Za2", ha2, ha2),
-        _sym("Zb2", ha2, hb2_max),
-        _sym("Za3", hfeat),
-        _sym("Zb3", hfeat),
-        _sym("Z4", hdec),
-    ]
-    transforms = [
-        _declared("plot_view", "Za2", d_plot, 1, "V"),
-        _declared("binary_view", "Zb2", 0.0, 1, "V"),
-        _declared("recognize_plot", "Za3", d_rec_a, 10, "H"),
-        _declared("recognize_binary", "Zb3", d_rec_b, 100, "H"),
-        _declared("decide_plot", "Z4", 0.0, 1, "H"),
-        _declared("decide_binary", "Z4", 0.0, 1, "H"),
-    ]
-    edges = [
-        _edge("Z1", "Za2", "plot_view"),
-        _edge("Z1", "Zb2", "binary_view"),
-        _edge("Za2", "Za3", "recognize_plot"),
-        _edge("Zb2", "Zb3", "recognize_binary"),
-        _edge("Za3", "Z4", "decide_plot"),
-        _edge("Zb3", "Z4", "decide_binary"),
-    ]
-    return _document("plot_vs_binary", "actual", "Z4", alphabets, transforms, edges)
+    return parse_spec(_fixture_text("plot_vs_binary_presenter" if presenter else "plot_vs_binary"))
 
 
-_PLOT_VS_BINARY_EXPECTED = (
-    Expectation("edge:recognize_plot:benefit", "approx", 415.0, 1.0, "declared"),
-    Expectation(
-        "path:Z1,Za2,Za3,Z4:cbr", "gt", "path:Z1,Zb2,Zb3,Z4:cbr", 0.0, "declared"
-    ),
-    Expectation(
-        "edge:recognize_binary:pdr", "gt", "edge:recognize_plot:pdr", 0.0, "declared"
-    ),
-    Expectation(
-        "edge:recognize_binary:cost", "gt", "edge:recognize_plot:cost", 0.0, "declared"
-    ),
-)
-
-
-def fixture_overview_interaction() -> WorkflowSpec:
-    """Overview first, zoom and details on demand, over an enumerated source.
-
-    The machine overview step compresses losslessly in distribution; the
-    human zoom step injects soft information and raises entropy, breaking
-    the data processing inequality.
-    """
-    region = {str(i): 1.0 / 16 for i in range(16)}
-    detail = {f"d{i}": 1.0 / 8 for i in range(8)}
-    decision = {"act": 0.5, "hold": 0.5}
-    groups = {str(i): f"g{i // 4}" for i in range(16)}
-    alphabets = [
-        {"name": "Zs", "model": {"type": "enumerated", "probs": region}},
-        {
-            "name": "Zo",
-            "model": {"type": "enumerated", "probs": {f"g{i}": 0.25 for i in range(4)}},
-        },
-        {"name": "Zd", "model": {"type": "enumerated", "probs": detail}},
-        {"name": "Zf", "model": {"type": "enumerated", "probs": decision}},
-    ]
-    transforms = [
-        _step("overview", "M", 1, {"type": "grouping", "map": groups}),
-        _declared("zoom", "Zd", 0.5, 2, "H"),
-        _declared("decide", "Zf", 0.0, 1, "H"),
-    ]
-    recons = [
-        {"name": "guess_uniform", "kind": {"type": "uniform_preimage"}},
-        {"name": "zoom_declared", "kind": {"type": "declared", "bits": 0.5}},
-        {"name": "decide_declared", "kind": {"type": "declared", "bits": 0.0}},
-    ]
-    edges = [
-        _edge("Zs", "Zo", "overview", "guess_uniform"),
-        _edge("Zo", "Zd", "zoom", "zoom_declared"),
-        _edge("Zd", "Zf", "decide", "decide_declared"),
-    ]
-    return _document("overview_interaction", "actual", "Zf", alphabets, transforms, edges, recons)
-
-
-_OVERVIEW_EXPECTED = (
-    Expectation("node:Zs:entropy", "approx", 4.0, 1e-9, "derived"),
-    Expectation("edge:overview:benefit", "approx", 2.0, 1e-9, "derived"),
-    Expectation("edge:zoom:benefit", "approx", -1.5, 1e-9, "declared"),
-    # soft knowledge raises entropy downstream of a human step
-    Expectation("node:Zd:entropy", "gt", "node:Zo:entropy", 0.0, "qualitative"),
-    Expectation("graph:benefit_lo", "approx", 2.5, 1e-9, "derived"),
-    Expectation("graph:benefit_hi", "approx", 2.5, 1e-9, "derived"),
-    Expectation("graph:cbr_lo", "approx", 0.625, 1e-9, "derived"),
-)
-
-
-def fixture_sports_events() -> WorkflowSpec:
-    """Match videos to event data to visualization, two competing pipelines.
-
-    Machine event detection is cheap but wildly inaccurate; glyph depiction
-    reconstructs episodic memory better than statistical graphics. All
-    magnitudes are declared; only the orderings are asserted.
-    """
-    alphabets = [
-        _sym("video", 10000.0, 20000.0),
-        _sym("events_h", 200.0, 500.0),
-        _sym("events_m", 200.0, 500.0),
-        _sym("vis_glyph", 150.0),
-        _sym("vis_stats", 150.0),
-        _sym("decision", 5.0),
-    ]
-    transforms = [
-        _declared("annotate_human", "events_h", 30.0, 100, "H"),
-        _declared("detect_machine", "events_m", 9000.0, 10, "M"),
-        _declared("glyphs", "vis_glyph", 10.0, 5, "V"),
-        _declared("stats", "vis_stats", 80.0, 5, "V"),
-        _declared("judge_glyph", "decision", 5.0, 20, "H"),
-        _declared("judge_stats", "decision", 5.0, 20, "H"),
-    ]
-    edges = [
-        _edge("video", "events_h", "annotate_human"),
-        _edge("video", "events_m", "detect_machine"),
-        _edge("events_h", "vis_glyph", "glyphs"),
-        _edge("events_m", "vis_stats", "stats"),
-        _edge("vis_glyph", "decision", "judge_glyph"),
-        _edge("vis_stats", "decision", "judge_stats"),
-    ]
-    return _document("sports_events", "actual", "decision", alphabets, transforms, edges)
-
-
-_SPORTS_EXPECTED = (
-    Expectation(
-        "edge:detect_machine:pdr", "gt", "edge:annotate_human:pdr", 0.0, "qualitative"
-    ),
-    Expectation("edge:stats:pdr", "gt", "edge:glyphs:pdr", 0.0, "qualitative"),
-    Expectation(
-        "path:video,events_h,vis_glyph,decision:cbr",
-        "gt",
-        "path:video,events_m,vis_stats,decision:cbr",
-        0.0,
-        "qualitative",
-    ),
-)
-
-
-def fixture_readability() -> WorkflowSpec:
-    """Document readability: sentence-level views vs one score per document.
-
-    Over-aggregation compresses harder but distorts far more; the tradeoff
-    favors keeping sentence-level detail.
-    """
-    alphabets = [
-        _sym("features", 1000.0, 2000.0),
-        _sym("sent_view", 300.0),
-        _sym("doc_score", 5.0),
-        _sym("decision", 10.0),
-    ]
-    transforms = [
-        _declared("sentence_view", "sent_view", 50.0, 10, "V"),
-        _declared("doc_view", "doc_score", 700.0, 10, "V"),
-        _declared("judge_sentence", "decision", 10.0, 20, "H"),
-        _declared("judge_doc", "decision", 10.0, 5, "H"),
-    ]
-    edges = [
-        _edge("features", "sent_view", "sentence_view"),
-        _edge("features", "doc_score", "doc_view"),
-        _edge("sent_view", "decision", "judge_sentence"),
-        _edge("doc_score", "decision", "judge_doc"),
-    ]
-    return _document("readability", "actual", "decision", alphabets, transforms, edges)
-
-
-_READABILITY_EXPECTED = (
-    Expectation("edge:doc_view:acr", "lt", "edge:sentence_view:acr", 0.0, "derived"),
-    Expectation("edge:doc_view:pdr", "gt", "edge:sentence_view:pdr", 0.0, "qualitative"),
-    Expectation(
-        "path:features,sent_view,decision:cbr",
-        "gt",
-        "path:features,doc_score,decision:cbr",
-        0.0,
-        "qualitative",
-    ),
-)
-
-
-def fixture_decision_tree() -> WorkflowSpec:
-    """Decision-tree model development: parallel-coordinates plus human
-    selection against automatic tree induction.
-
-    The machine route is far cheaper in time; the human route keeps more
-    information thanks to soft knowledge about the feature extraction.
-    """
-    alphabets = [
-        _sym("tsvar", 200.0),
-        _sym("param8", 8.0),
-        _sym("videos", 4000.0, 8000.0),
-        _prod("ts14", "tsvar", 14),
-        _prod("vec322", "param8", 322),
-        _sym("pcp", 2000.0, 2576.0),
-        _sym("tree", 50.0),
-    ]
-    transforms = [
-        _declared("extract_features", "ts14", 100.0, 10, "M"),
-        _declared("characterize", "vec322", 50.0, 10, "M"),
-        _declared("pcp_plot", "pcp", 20.0, 5, "V"),
-        _declared("select_variables", "tree", 30.0, 200, "H"),
-        _declared("c45", "tree", 600.0, 5, "M"),
-    ]
-    edges = [
-        _edge("videos", "ts14", "extract_features"),
-        _edge("ts14", "vec322", "characterize"),
-        _edge("vec322", "pcp", "pcp_plot"),
-        _edge("pcp", "tree", "select_variables"),
-        _edge("vec322", "tree", "c45"),
-    ]
-    return _document("decision_tree", "actual", "tree", alphabets, transforms, edges)
-
-
-_DECISION_TREE_EXPECTED = (
-    Expectation("node:vec322:max_entropy", "approx", 2576.0, 1e-6, "derived"),
-    Expectation(
-        "path:vec322,pcp,tree:benefit", "gt", "path:vec322,tree:benefit", 0.0, "qualitative"
-    ),
-    Expectation(
-        "path:vec322,pcp,tree:cost", "gt", "path:vec322,tree:cost", 0.0, "qualitative"
-    ),
-    Expectation("edge:c45:pdr", "gt", "edge:select_variables:pdr", 0.0, "qualitative"),
-)
-
-
-# fixture name -> (spec builder, called with no arguments, and its expectations)
+# fixture name -> its expectations; the spec is fixtures/<name>.json
 _FIXTURES = {
-    "share_price_chain": (fixture_share_price, share_price_expected(1)),
-    "plot_vs_binary": (fixture_plot_vs_binary, _PLOT_VS_BINARY_EXPECTED),
-    "overview_interaction": (fixture_overview_interaction, _OVERVIEW_EXPECTED),
-    "sports_events": (fixture_sports_events, _SPORTS_EXPECTED),
-    "readability": (fixture_readability, _READABILITY_EXPECTED),
-    "decision_tree": (fixture_decision_tree, _DECISION_TREE_EXPECTED),
+    "share_price_chain": share_price_expected(1),
+    # Human costs and distortions are declared estimates; the binary view
+    # carries a much larger feature-recognition distortion and cost.
+    "plot_vs_binary": (
+        Expectation("edge:recognize_plot:benefit", "approx", 415.0, 1.0, "declared"),
+        Expectation(
+            "path:Z1,Za2,Za3,Z4:cbr", "gt", "path:Z1,Zb2,Zb3,Z4:cbr", 0.0, "declared"
+        ),
+        Expectation(
+            "edge:recognize_binary:pdr", "gt", "edge:recognize_plot:pdr", 0.0, "declared"
+        ),
+        Expectation(
+            "edge:recognize_binary:cost", "gt", "edge:recognize_plot:cost", 0.0, "declared"
+        ),
+    ),
+    # Overview first, zoom and details on demand, over an enumerated source.
+    # The machine overview step compresses losslessly in distribution; the
+    # human zoom step injects soft information and raises entropy, breaking
+    # the data processing inequality.
+    "overview_interaction": (
+        Expectation("node:Zs:entropy", "approx", 4.0, 1e-9, "derived"),
+        Expectation("edge:overview:benefit", "approx", 2.0, 1e-9, "derived"),
+        Expectation("edge:zoom:benefit", "approx", -1.5, 1e-9, "declared"),
+        # soft knowledge raises entropy downstream of a human step
+        Expectation("node:Zd:entropy", "gt", "node:Zo:entropy", 0.0, "qualitative"),
+        Expectation("graph:benefit_lo", "approx", 2.5, 1e-9, "derived"),
+        Expectation("graph:benefit_hi", "approx", 2.5, 1e-9, "derived"),
+        Expectation("graph:cbr_lo", "approx", 0.625, 1e-9, "derived"),
+    ),
+    # Match videos to event data to visualization, two competing pipelines.
+    # Machine event detection is cheap but wildly inaccurate; glyph depiction
+    # reconstructs episodic memory better than statistical graphics. All
+    # magnitudes are declared; only the orderings are asserted.
+    "sports_events": (
+        Expectation(
+            "edge:detect_machine:pdr", "gt", "edge:annotate_human:pdr", 0.0, "qualitative"
+        ),
+        Expectation("edge:stats:pdr", "gt", "edge:glyphs:pdr", 0.0, "qualitative"),
+        Expectation(
+            "path:video,events_h,vis_glyph,decision:cbr",
+            "gt",
+            "path:video,events_m,vis_stats,decision:cbr",
+            0.0,
+            "qualitative",
+        ),
+    ),
+    # Document readability: sentence-level views vs one score per document.
+    # Over-aggregation compresses harder but distorts far more; the tradeoff
+    # favors keeping sentence-level detail.
+    "readability": (
+        Expectation("edge:doc_view:acr", "lt", "edge:sentence_view:acr", 0.0, "derived"),
+        Expectation("edge:doc_view:pdr", "gt", "edge:sentence_view:pdr", 0.0, "qualitative"),
+        Expectation(
+            "path:features,sent_view,decision:cbr",
+            "gt",
+            "path:features,doc_score,decision:cbr",
+            0.0,
+            "qualitative",
+        ),
+    ),
+    # Decision-tree model development: parallel-coordinates plus human
+    # selection against automatic tree induction. The machine route is far
+    # cheaper in time; the human route keeps more information thanks to soft
+    # knowledge about the feature extraction.
+    "decision_tree": (
+        Expectation("node:vec322:max_entropy", "approx", 2576.0, 1e-6, "derived"),
+        Expectation(
+            "path:vec322,pcp,tree:benefit", "gt", "path:vec322,tree:benefit", 0.0, "qualitative"
+        ),
+        Expectation(
+            "path:vec322,pcp,tree:cost", "gt", "path:vec322,tree:cost", 0.0, "qualitative"
+        ),
+        Expectation("edge:c45:pdr", "gt", "edge:select_variables:pdr", 0.0, "qualitative"),
+    ),
 }
 FIXTURE_NAMES = tuple(_FIXTURES)
 
 
 def load_fixture(name: str) -> Fixture:
-    """Fixture ``name``; raises KeyError(name) for a name it does not know."""
-    spec, expected = _FIXTURES[name]
-    return Fixture(name, spec(), list(expected))
+    """Fixture ``name``; raises KeyError(name) for a name it does not know,
+    before any file is opened."""
+    expected = _FIXTURES[name]
+    return Fixture(name, parse_spec(_fixture_text(name)), list(expected))
 
 
 def all_fixtures() -> list:

@@ -47,6 +47,13 @@ class CostRecord:
         return CostRecord(self.kind, self.amount + other.amount, self.unit)
 
 
+def _count(value) -> int:
+    """``value`` as a bin count or a window: an integer, or a float that is one."""
+    if isinstance(value, (bool, str)) or int(value) != value:
+        raise TypeError(f"{value!r} is not an integer")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class Grouping:
     """Total deterministic map from input letter ids to output letter ids."""
@@ -69,7 +76,7 @@ class Quantizer:
     boundaries: Optional[tuple] = None
 
     def __post_init__(self):
-        if self.levels < 1:
+        if _count(self.levels) < 1:
             raise ValueError("quantizer needs at least one bin")
         if self.boundaries is not None:
             b = self.boundaries
@@ -92,7 +99,7 @@ class Aggregator:
     statistic: str = "mean"
 
     def __post_init__(self):
-        if self.window < 1:
+        if _count(self.window) < 1:
             raise ValueError("window must be positive")
 
 

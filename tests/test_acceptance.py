@@ -25,7 +25,6 @@ from cbr.specio import (
     share_price_expected,
     fixture_share_price,
     fixture_plot_vs_binary,
-    fixture_overview_interaction,
     load_fixture,
     parse_spec,
     resolve_metric,
@@ -75,7 +74,7 @@ def test_acceptance_3_oracle_equivalence():
     rng = np.random.default_rng(3)
     ok = True
     # entropy on every enumerated node of the shipped fixtures
-    for f in (fixture_overview_interaction(),):
+    for f in (load_fixture("overview_interaction").spec,):
         for a in f.build_graph().nodes.values():
             if a.is_enumerated:
                 expect = entropy_oracle(a.model.pmf.probs.values())
@@ -138,7 +137,7 @@ def test_acceptance_5_data_processing_inequality():
             ok = ok and h <= h_prev + 1e-9
             h_prev = h
     # a human step with declared soft knowledge is exempt from the inequality
-    zoom = fixture_overview_interaction().build_graph()
+    zoom = load_fixture("overview_interaction").spec.build_graph()
     ok = ok and entropy(zoom.nodes["Zd"]) > entropy(zoom.nodes["Zo"])
     verdict(5, "data processing inequality", ok)
 

@@ -14,6 +14,7 @@ from cbr.specio import (
     FIXTURE_NAMES,
     emit_spec,
     fixture_plot_vs_binary,
+    fixture_share_price,
     load_fixture,
     parse_spec,
     resolve_metric,
@@ -395,6 +396,35 @@ class TestBadSpecs:
         assert self.run(tmp_path, capsys, text, command) == f"error: {message}\n"
 
 
+@pytest.mark.parametrize("command", [
+    ["validate"], ["analyze"], ["optimize"], ["report", "--format", "dot"], ["report", "--format", "csv"],
+])
+def test_unscored_edge(command, tmp_path, capsys):
+    """An edge with no reconstruction, whose transform is not a declared
+    step, has no D_KL: every command rejects it when it reads the spec."""
+    path = tmp_path / "unscored.json"
+    path.write_text(overview_with(lambda d: d["graph"]["edges"][0].pop("reconstruction")))
+    assert main(command + [str(path)]) == 1
+    assert capsys.readouterr() == ("", "error: unscored edge: overview at graph.edges[0]\n")
+
+
+@pytest.mark.parametrize("command", [["validate"], ["analyze"], ["optimize", "--budget", "16"]])
+@pytest.mark.parametrize("model", [{"kind": "energy", "unit": "J"}, {"kind": "time", "unit": "s"}],
+                         ids=["kind", "unit"])
+def test_cost_outside_the_cost_model(model, command, tmp_path, capsys):
+    """A budget is read in the cost model's kind and unit, so a transform
+    cost in another kind or unit is rejected."""
+    data = json.loads(emit_spec(fixture_share_price(3)))
+    data["cost_model"] = model
+    path = tmp_path / "costs.json"
+    path.write_text(json.dumps(data))
+    assert main(command + [str(path)]) == 1
+    assert capsys.readouterr() == ("", (
+        f"error: cost in time/min, but the cost_model is {model['kind']}/{model['unit']}"
+        " at transforms[0].cost\n"
+    ))
+
+
 class TestOneProcess:
     def run(self, argv, fresh):
         if fresh:
@@ -492,3 +522,7 @@ class TestFixtures:
     def test_unknown_fixture(self, capsys):
         assert main(["fixtures", "--name", "nonesuch"]) == 2
         assert "unknown fixture" in capsys.readouterr().err
+
+    def test_name_is_not_a_path(self, capsys):
+        assert main(["fixtures", "--name", "../fixtures/share_price_chain"]) == 2
+        assert capsys.readouterr() == ("", "unknown fixture: ../fixtures/share_price_chain\n")

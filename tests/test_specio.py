@@ -244,6 +244,67 @@ class TestFixtures:
             check_fixture(f)
 
 
+class TestCountFields:
+    """A quantizer's ``levels`` and an aggregator's ``window`` are counts:
+    a spec, the constructors and a search reject the same values."""
+
+    NOT_COUNTS = [(2.5, "2.5 is not an integer"), (True, "True is not an integer"),
+                  ("3", "'3' is not an integer")]
+
+    @pytest.mark.parametrize("value, reason", NOT_COUNTS, ids=["2.5", "true", "string"])
+    @pytest.mark.parametrize("index, field", [(1, "levels"), (0, "window")], ids=["plot", "aggregate"])
+    def test_spec_rejects_a_count_that_is_not_an_integer(self, index, field, value, reason):
+        data = copy.deepcopy(fixture_share_price(1).data)
+        kind = data["transforms"][index]["kind"]
+        kind[field] = value
+        with pytest.raises(SpecError) as exc:
+            parse_spec(json.dumps(data))
+        assert str(exc.value) == (
+            f"{kind['type']} transform has a field of the wrong type ({reason})"
+            f" at transforms[{index}].kind"
+        )
+
+    def test_fractional_bins_whose_node_agrees(self):
+        """2.5 plot levels, with Z3's factor declared at log2 2.5 bits: the
+        nodes agree, and only the count is wrong."""
+        data = copy.deepcopy(fixture_share_price(1).data)
+        data["transforms"][1]["kind"]["levels"] = 2.5
+        plotpoint = data["alphabets"][3]
+        assert plotpoint["name"] == "plotpoint"
+        plotpoint["model"].update(entropy_bits=math.log2(2.5), max_entropy_bits=math.log2(2.5))
+        with pytest.raises(SpecError, match=r"\(2\.5 is not an integer\) at transforms\[1\]\.kind"):
+            parse_spec(json.dumps(data))
+
+    def test_infinite_count(self):
+        """1e400, which ``json`` reads as inf, is a count of the wrong type."""
+        data = copy.deepcopy(fixture_share_price(1).data)
+        data["transforms"][1]["kind"]["levels"] = 123.25
+        with pytest.raises(SpecError) as exc:
+            parse_spec(json.dumps(data).replace("123.25", "1e400"))
+        assert str(exc.value) == (
+            "quantizer transform has a field of the wrong type"
+            " (cannot convert float infinity to integer) at transforms[1].kind"
+        )
+
+    @pytest.mark.parametrize("value, reason", NOT_COUNTS, ids=["2.5", "true", "string"])
+    def test_constructors_reject_what_a_search_rejects(self, value, reason):
+        from cbr.optimize import apply_assignment
+        from cbr.transform import Aggregator, Quantizer
+
+        for make in (Quantizer, Aggregator):
+            with pytest.raises(TypeError, match=f"^{reason}$"):
+                make(value)
+        graph = fixture_share_price(1).build_graph()
+        for target, field in (("transform:plot", "bins"), ("transform:aggregate", "window")):
+            with pytest.raises(ValueError, match=f"^bad value for {target}.{field}: {reason}$"):
+                apply_assignment(graph, {(target, field): value})
+
+    def test_integral_float_is_a_count(self):
+        from cbr.transform import Aggregator, Quantizer
+
+        assert Quantizer(4.0) == Quantizer(4) and Aggregator(3.0) == Aggregator(3)
+
+
 def enum_fork_join() -> dict:
     """X (16 letters) forks into a pairwise grouping and a 4-bin quantizer,
     which two groupings join at a 2-letter decision D."""
