@@ -7,7 +7,6 @@ from .alphabet import (
     entropy,
     max_entropy,
     product,
-    restrict,
     symbolic,
     uniform,
 )
@@ -45,20 +44,18 @@ from .metrics import (
     potential_distortion_ratio,
     step_metrics,
 )
-from .workflow import Edge, Interval, LevelInfo, MetricsReport, OverallMetrics, WorkflowGraph
+from .workflow import Edge, Interval, MetricsReport, OverallMetrics, WorkflowGraph
 from .optimize import (
     Dimension,
     OptimizeResult,
     ParamSpace,
     exhaustive_search,
     greedy_search,
-    pareto_frontier,
 )
 from .specio import (
     Expectation,
     Fixture,
     WorkflowSpec,
-    all_fixtures,
     check_fixture,
     emit_spec,
     load_fixture,

@@ -222,18 +222,3 @@ def product(a: Alphabet, count: int, name: Optional[str] = None) -> Alphabet:
     if count < 1:
         raise ValueError("empty product")
     return Alphabet(name or f"{a.name}^{count}", Product(a, count))
-
-
-def restrict(a: Alphabet, subset, name: Optional[str] = None) -> Alphabet:
-    """Condition an enumerated alphabet on a subset of its letters."""
-    m = a.model
-    if not isinstance(m, Pmf):
-        raise ValueError("mode mismatch: restrict requires an enumerated alphabet")
-    subset = set(subset)
-    if not subset or not subset <= set(m.ids):
-        raise ValueError("unconditionable subset")
-    mass = math.fsum(m[lid] for lid in subset)
-    if mass <= 0.0:
-        raise ValueError("unconditionable subset")
-    probs = {lid: m[lid] / mass for lid in m.ids if lid in subset}
-    return enumerated(name or f"{a.name}|{len(subset)}", probs)

@@ -192,9 +192,7 @@ def apply_assignment(g: WorkflowGraph, assignment: dict) -> WorkflowGraph:
     fed = {e.dst for e in edges}
     used = {e.src for e in edges} | fed | {g.decisional}
     nodes = {n: None if n in fed else a for n, a in g.nodes.items() if n in used}
-    return WorkflowGraph(
-        nodes, edges, decisional=g.decisional, class_tag=g.class_tag, level_tag=g.level_tag
-    )
+    return WorkflowGraph(nodes, edges, decisional=g.decisional)
 
 
 def evaluate(
@@ -439,18 +437,6 @@ def greedy_search(
     records, cost, benefit, score = zip(*evaluated.values()) if evaluated else ((),) * 4
     return _result(ev, list(records), np.array(cost), np.array(benefit), np.array(score),
                    len(visited) - len(evaluated), budget, certified=False)
-
-
-def pareto_frontier(points: list) -> list:
-    """Nondominated (cost, benefit) subset, sorted by cost ascending.
-
-    Lower cost and higher benefit are better; weak duplicates keep one
-    representative.
-    """
-    if not points:
-        raise ValueError("no points")
-    cost, benefit = np.array(points, dtype=np.float64).T
-    return [tuple(points[i]) for i in _frontier(cost, benefit)]
 
 
 def frontier_csv(result: OptimizeResult) -> str:

@@ -24,9 +24,6 @@ from .transform import (
     mutual_information,
 )
 
-SMOOTHING_FLOOR = 1e-12
-
-
 @dataclass(frozen=True)
 class ExactConditional:
     """Perfect Bayesian inversion: the true conditional of input given output."""
@@ -122,25 +119,17 @@ def _impression_vector(g: Reconstruction, step: Step) -> np.ndarray:
     return q[codes] * share
 
 
-def kl_divergence(p: Pmf, q: Pmf, smooth: bool = False) -> float:
-    """D_KL(p || q) in bits.
-
-    Requires support(p) within support(q) unless ``smooth`` is set, in which
-    case q is floored at ``SMOOTHING_FLOOR`` over the union support and
-    renormalized.
-    """
+def kl_divergence(p: Pmf, q: Pmf) -> float:
+    """D_KL(p || q) in bits; requires support(p) within support(q)."""
     qset = set(q.ids)
     ids = q.ids + tuple(k for k in p.ids if k not in qset)
-    return _kl_vectors(p.aligned(ids), q.aligned(ids), smooth)
+    return _kl_vectors(p.aligned(ids), q.aligned(ids))
 
 
-def _kl_vectors(pv: np.ndarray, qv: np.ndarray, smooth: bool) -> float:
+def _kl_vectors(pv: np.ndarray, qv: np.ndarray) -> float:
     """``kl_divergence`` on two aligned probability vectors."""
     if np.any((pv > 0.0) & (qv <= 0.0)):
-        if not smooth:
-            raise ValueError("divergence undefined: p > 0 where q = 0")
-        qv = np.maximum(qv, SMOOTHING_FLOOR)
-        qv = qv / qv.sum()
+        raise ValueError("divergence undefined: p > 0 where q = 0")
     return _kernels.kl_bits(pv, qv)
 
 
@@ -149,7 +138,6 @@ def distortion_bits(
     t: Transform,
     input: Alphabet,
     machine_centric: bool = False,
-    smooth: bool = False,
 ) -> float:
     """Distortion D_KL(impression || input) for one step.
 
@@ -166,10 +154,10 @@ def distortion_bits(
     if isinstance(g.kind, DeclaredDivergence):
         return g.kind.bits
     _check_impression(g, t, input)
-    return step_distortion(g, compiled(t, input), smooth)
+    return step_distortion(g, compiled(t, input))
 
 
-def step_distortion(g: Optional[Reconstruction], step: Step, smooth: bool = False) -> float:
+def step_distortion(g: Optional[Reconstruction], step: Step) -> float:
     """``distortion_bits`` of reconstruction ``g`` on a compiled step."""
     if g is None or isinstance(g.kind, DeclaredDivergence):  # declared: no impression needed
         return distortion_bits(g, step.transform, step.input)
@@ -177,4 +165,4 @@ def step_distortion(g: Optional[Reconstruction], step: Step, smooth: bool = Fals
     # renormalised as impression()'s Pmf is, so the result is bit-identical
     # to kl_divergence(impression(g, t, input).pmf, input.model.pmf)
     v = v / math.fsum(v)
-    return _kl_vectors(v, step.input.prob_vector(), smooth)
+    return _kl_vectors(v, step.input.prob_vector())

@@ -36,7 +36,7 @@ from .reconstruction import (
     UniformPreimage,
 )
 from .metrics import ENTROPY_MODES, METRICS, SCOPES
-from .workflow import CLASS_LEVEL, LEVELS, Edge, WorkflowGraph, _check_scored
+from .workflow import Edge, WorkflowGraph, _check_scored
 from .optimize import Dimension, ParamSpace, apply_dimension
 
 SCHEMA_VERSION = "1"
@@ -64,7 +64,6 @@ SCHEMA = {
             "required": ["kind", "unit"],
             "properties": {"kind": {"enum": list(COST_KINDS)}, "unit": {"type": "string"}},
         },
-        "fixture_tag": {"type": "string"},
         "alphabets": {
             "type": "array",
             "items": {
@@ -157,8 +156,6 @@ SCHEMA = {
                     },
                 },
                 "decisional": {"type": "string"},
-                "class_tag": {"enum": list(CLASS_LEVEL)},
-                "level_tag": {"enum": list(LEVELS)},
             },
         },
         "param_space": {
@@ -328,7 +325,7 @@ def _transform_kind(kd: dict, t: str, path: str, alphabets: dict):
         b = kd.get("boundaries")
         return Quantizer(kd["levels"], tuple(b) if b else None)
     if t == "aggregator":
-        return Aggregator(kd["window"], kd.get("statistic", "mean"))
+        return Aggregator(kd["window"])
     if t == "channel":
         return Channel(
             tuple(kd["inputs"]),
@@ -366,9 +363,11 @@ class WorkflowSpec:
 
     def _transforms(self, alphabets: dict) -> dict:
         out = {}
+        # every cost is in one kind and unit, the cost model's if one is
+        # declared, else the first transform's; a budget is read in it
         model = self.data.get("cost_model")
-        # a budget is read in the cost model's kind and unit
-        model_unit = (model["kind"], model["unit"]) if model is not None else None
+        unit = (model["kind"], model["unit"]) if model else None
+        source = "the cost_model"
         for i, td in enumerate(_by_name(self.data["transforms"], "transforms").values()):
             kd = td["kind"]
             t = kd["type"]
@@ -378,9 +377,11 @@ class WorkflowSpec:
             except _FIELD_ERRORS as exc:
                 raise _field_error(exc, f"{t} transform", f"{path}.kind") from None
             c = td["cost"]
-            if model_unit is not None and (c["kind"], c["unit"]) != model_unit:
+            if unit is None:
+                unit, source = (c["kind"], c["unit"]), f"{path}.cost"
+            elif (c["kind"], c["unit"]) != unit:
                 raise SpecError(
-                    f"cost in {c['kind']}/{c['unit']}, but the cost_model is {'/'.join(model_unit)}",
+                    f"cost in {c['kind']}/{c['unit']}, but {source} is {'/'.join(unit)}",
                     f"{path}.cost",
                 )
             out[td["name"]] = Transform(
@@ -448,13 +449,7 @@ class WorkflowSpec:
             used.add(gd["decisional"])
         nodes = {n: a for n, a in alphabets.items() if n in used}
         try:
-            return WorkflowGraph(
-                nodes,
-                edges,
-                decisional=gd.get("decisional"),
-                class_tag=gd.get("class_tag"),
-                level_tag=gd.get("level_tag"),
-            )
+            return WorkflowGraph(nodes, edges, decisional=gd.get("decisional"))
         except ValueError as exc:
             raise SpecError(str(exc), "graph")
 
@@ -724,7 +719,3 @@ def load_fixture(name: str) -> Fixture:
     before any file is opened."""
     expected = _FIXTURES[name]
     return Fixture(name, parse_spec(_fixture_text(name)), list(expected))
-
-
-def all_fixtures() -> list:
-    return [load_fixture(n) for n in FIXTURE_NAMES]

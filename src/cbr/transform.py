@@ -91,12 +91,11 @@ class Quantizer:
 class Aggregator:
     """Merges ``window`` consecutive factors of a product alphabet.
 
-    Symbolic-mode bookkeeping only; the per-window statistic is recorded as
-    a tag and the aggregate is assumed to keep the factor's bit width.
+    Symbolic-mode bookkeeping only; the aggregate is assumed to keep the
+    factor's bit width.
     """
 
     window: int
-    statistic: str = "mean"
 
     def __post_init__(self):
         if _count(self.window) < 1:
@@ -156,11 +155,6 @@ class Transform:
     def __post_init__(self):
         if self.node_kind not in NODE_KINDS:
             raise ValueError(f"unknown node kind {self.node_kind!r}")
-
-
-def identity_grouping(input: Alphabet, name: str, cost: CostRecord, node_kind: str = "M") -> Transform:
-    ids = input.letter_ids()
-    return Transform(name, Grouping({i: i for i in ids}), cost, node_kind)
 
 
 def _first_appearance_codes(targets: tuple) -> tuple:
@@ -291,11 +285,18 @@ class Step:
         raise ValueError("mode mismatch: transform is not deterministic")
 
     def mutual_information(self) -> float:
-        """I(input; output) in bits; the output entropy for a compiled step."""
+        """I(input; output) in bits; the output entropy for a compiled step,
+        and from the joint distribution for a channel."""
         if self.codes is not None:
             return _kernels.entropy_bits(np.bincount(self.codes, weights=self.input.prob_vector()))
-        joint, _, _ = joint_distribution(self.transform, self.input)
-        return _kernels.mi_bits(joint)
+        if not self.input.is_enumerated:
+            raise ValueError("requires enumerated model")
+        k = self.transform.kind
+        if isinstance(k, Quantizer):  # one with boundaries has codes
+            raise ValueError("mode mismatch: symbolic quantizer has no letter map")
+        if not isinstance(k, Channel):
+            raise ValueError("mode mismatch: no joint distribution for this transform kind")
+        return _kernels.mi_bits(_channel_input(k, self.input)[:, None] * k.as_array())
 
     def grouping_residual(self) -> float:
         """Residual of the grouping identity H(X) = H(Y) + sum_k q(y_k) H_k
@@ -347,23 +348,6 @@ def _channel_input(k: Channel, input: Alphabet) -> np.ndarray:
     if set(input.letter_ids()) != set(k.inputs):
         raise ValueError("partial mapping: channel inputs do not match alphabet")
     return input.model.aligned(k.inputs)
-
-
-def joint_distribution(t: Transform, input: Alphabet) -> tuple:
-    """(joint matrix, input ids, output ids) of input and pushed-forward output."""
-    if not input.is_enumerated:
-        raise ValueError("requires enumerated model")
-    k = t.kind
-    if isinstance(k, Channel):
-        joint = _channel_input(k, input)[:, None] * k.as_array()
-        return joint, tuple(k.inputs), tuple(k.outputs)
-    if isinstance(k, (Grouping, Quantizer)):
-        codes, out_ids = deterministic_codes(t, input)
-        p = input.prob_vector()
-        joint = np.zeros((len(p), len(out_ids)))
-        joint[np.arange(len(p)), codes] = p
-        return joint, input.letter_ids(), out_ids
-    raise ValueError("mode mismatch: no joint distribution for this transform kind")
 
 
 def mutual_information(t: Transform, input: Alphabet) -> float:

@@ -58,23 +58,6 @@ class Edge:
 
 
 @dataclass(frozen=True)
-class LevelInfo:
-    level: str
-    question_form: str
-    complexity_class: str
-
-
-LEVELS = {
-    "V_D": LevelInfo("V_D", "This is A.", "O(1)"),
-    "V_O": LevelInfo("V_O", "What has happened, when and where?", "O(n)"),
-    "V_A": LevelInfo("V_A", "What does A relate to, and why?", "O(n^k)"),
-    "V_M": LevelInfo("V_M", "How does A lead to B?", "O(k^n) / O(n!)"),
-}
-
-CLASS_LEVEL = {"W1": "V_D", "W2": "V_O", "W3": "V_D", "W4": "V_A", "W5": "V_M", "W6": "V_M"}
-
-
-@dataclass(frozen=True)
 class OverallMetrics:
     total_cost: CostRecord
     total_benefit_bits: Interval
@@ -123,18 +106,9 @@ class WorkflowGraph:
     per-edge, path and total measure reads it.
     """
 
-    def __init__(
-        self,
-        nodes: dict,
-        edges: list,
-        decisional: Optional[str] = None,
-        class_tag: Optional[str] = None,
-        level_tag: Optional[str] = None,
-    ):
+    def __init__(self, nodes: dict, edges: list, decisional: Optional[str] = None):
         self.nodes = dict(nodes)
         self.edges = list(edges)
-        self.class_tag = class_tag
-        self.level_tag = level_tag
 
         # every edge, in edge order: two edges from one node to another are
         # parallel branches, and their target is a joint
@@ -227,21 +201,6 @@ class WorkflowGraph:
             self._joints[n] = fork, kinds
         self._records: dict = {}  # (edge index, entropy mode) -> StepMetrics
         self._d_kl: dict = {}  # edge index -> D_KL, which no entropy mode changes
-
-    # -- structure helpers ------------------------------------------------
-
-    def is_chain(self) -> bool:
-        """One path: no node has two in- or out-edges, and (acyclic as the
-        graph is) exactly one node has none in, so it is connected."""
-        if any(len(self._in[n]) > 1 or len(self._out[n]) > 1 for n in self.nodes):
-            return False
-        return len(self.nodes) <= 1 or sum(not self._in[n] for n in self.nodes) == 1
-
-    def edge_by_transform(self, name: str) -> Edge:
-        for e in self.edges:
-            if e.transform.name == name:
-                return e
-        raise KeyError(name)
 
     # -- analysis ---------------------------------------------------------
 
@@ -370,39 +329,6 @@ class WorkflowGraph:
                                  "a node path does not choose one")
             # list.index finds hop[0] itself: an equal edge would share its hop
             yield hop[0], self._record(self.edges.index(hop[0]), entropy_mode)
-
-    # -- classification ---------------------------------------------------
-
-    def classify(self) -> tuple:
-        """(class_tag or None, LevelInfo or None) by structural matching."""
-        tag = self._match_class()
-        if tag is not None:
-            return tag, LEVELS[CLASS_LEVEL[tag]]
-        if self.level_tag is not None:
-            return None, LEVELS.get(self.level_tag)
-        return None, None
-
-    def _match_class(self) -> Optional[str]:
-        if self.is_chain():
-            kinds = [self._out[n][0].transform.node_kind for n in self._order[:-1]]
-            chain_patterns = [
-                ("W1", ["H", "V", "H"]),
-                ("W2", ["V", "H"]),
-                ("W3", ["M", "V", "H"]),
-                ("W5", ["V", "H", "M"]),
-                ("W6", ["H", "M"]),
-            ]
-            for tag, pattern in chain_patterns:
-                if kinds == pattern:
-                    return tag
-            return None
-        # branching: machine branch parallel with a visual branch feeding H
-        for joint, (_, kinds) in self._joints.items():
-            downstream = [e.transform.node_kind for e in self._out[joint]]
-            arriving = {e.transform.node_kind for e in self._in[joint]}
-            if "M" in kinds and "V" in kinds and ("H" in downstream or "H" in arriving):
-                return "W4"
-        return None
 
     # -- export -----------------------------------------------------------
 

@@ -12,7 +12,6 @@ from cbr.alphabet import (
     entropy,
     max_entropy,
     product,
-    restrict,
     symbolic,
     uniform,
 )
@@ -199,34 +198,6 @@ class TestProduct:
         a = uniform("a", "xy")
         with pytest.raises(ValueError, match="empty product"):
             product(a, 0)
-
-
-class TestRestrict:
-    def test_uniform_conditioning(self):
-        a = uniform("u8", [str(i) for i in range(8)])
-        r = restrict(a, {"0", "1", "2", "3"})
-        assert entropy(r) == pytest.approx(2.0)
-
-    def test_renormalization(self):
-        a = enumerated("a", {"x": 0.5, "y": 0.25, "z": 0.25})
-        r = restrict(a, {"y", "z"})
-        assert r.model.pmf["y"] == pytest.approx(0.5)
-        assert r.model.pmf["z"] == pytest.approx(0.5)
-
-    def test_full_subset_is_identity(self):
-        a = enumerated("a", {"x": 0.5, "y": 0.25, "z": 0.25})
-        r = restrict(a, {"x", "y", "z"})
-        assert {k: v for k, v in r.model.pmf.items()} == pytest.approx(a.model.pmf.probs)
-
-    def test_empty_subset_rejected(self):
-        a = uniform("a", "xy")
-        with pytest.raises(ValueError, match="unconditionable subset"):
-            restrict(a, set())
-
-    def test_zero_mass_subset_rejected(self):
-        a = enumerated("a", {"x": 1.0, "y": 0.0})
-        with pytest.raises(ValueError, match="unconditionable subset"):
-            restrict(a, {"y"})
 
 
 class TestSymbolic:

@@ -425,6 +425,23 @@ def test_cost_outside_the_cost_model(model, command, tmp_path, capsys):
     ))
 
 
+@pytest.mark.parametrize("command", [
+    ["validate"], ["analyze"], ["report", "--format", "csv"], ["report", "--format", "dot"],
+])
+def test_costs_in_two_units_without_a_cost_model(command, tmp_path, capsys):
+    """With no cost model, every transform cost is in the first one's kind
+    and unit, so a spec that validates can also be analyzed and reported."""
+    def mutate(d):
+        del d["cost_model"]
+        d["transforms"][1]["cost"]["unit"] = "s"
+
+    path = tmp_path / "units.json"
+    path.write_text(overview_with(mutate))
+    assert main(command + [str(path)]) == 1
+    assert capsys.readouterr() == (
+        "", "error: cost in time/s, but transforms[0].cost is time/min at transforms[1].cost\n")
+
+
 class TestOneProcess:
     def run(self, argv, fresh):
         if fresh:

@@ -53,37 +53,29 @@ class TestKlDivergence:
         with pytest.raises(ValueError, match="divergence undefined"):
             kl_divergence(p, q)
 
-    def test_smoothing_gives_finite_value(self):
-        p = Pmf({"a": 0.5, "b": 0.5})
-        q = Pmf({"a": 1.0, "b": 0.0})
-        v = kl_divergence(p, q, smooth=True)
-        assert math.isfinite(v) and v > 0.0
-
     @pytest.mark.parametrize(
-        "p, q, plain, smoothed",
+        "p, q, plain",
         [
             # p has a zero letter q lacks; q lists the letters in another order
             ({"a": 0.5, "b": 0.3, "c": 0.2, "z": 0.0}, {"c": 0.1, "b": 0.6, "a": 0.3},
-             "0x1.12ed27840ac90p-2", "0x1.12ed27840ac90p-2"),
+             "0x1.12ed27840ac90p-2"),
             # p has mass on a letter q lacks
-            ({"a": 0.4, "b": 0.3, "z": 0.3}, {"b": 0.5, "a": 0.5}, None, "0x1.62d0d18d4a86ap+3"),
-            ({"a": 1.0}, {"a": 0.5, "b": 0.5}, "0x1.0000000000000p+0", "0x1.0000000000000p+0"),
-            ({"b": 0.25, "a": 0.75}, {"a": 0.5, "b": 0.5, "c": 0.0},
-             "0x1.82809d5be7074p-3", "0x1.82809d5be7074p-3"),
+            ({"a": 0.4, "b": 0.3, "z": 0.3}, {"b": 0.5, "a": 0.5}, None),
+            ({"a": 1.0}, {"a": 0.5, "b": 0.5}, "0x1.0000000000000p+0"),
+            ({"b": 0.25, "a": 0.75}, {"a": 0.5, "b": 0.5, "c": 0.0}, "0x1.82809d5be7074p-3"),
             ({f"r{i}": (i + 1) / 153 for i in reversed(range(17))},
-             {f"r{i}": 1 / 17 for i in range(17)}, "0x1.ed3c0248ad515p-3", "0x1.ed3c0248ad515p-3"),
+             {f"r{i}": 1 / 17 for i in range(17)}, "0x1.ed3c0248ad515p-3"),
             ({**{f"r{i}": (i + 1) / 153 for i in range(16)}, "r16": 17 / 153 - 0.01, "extra": 0.01},
-             {f"r{i}": 1 / 17 for i in range(17)}, None, "0x1.19a657742de1cp-1"),
+             {f"r{i}": 1 / 17 for i in range(17)}, None),
         ],
     )
-    def test_recorded_values(self, p, q, plain, smoothed):
+    def test_recorded_values(self, p, q, plain):
         """Bit for bit the values recorded before the pmfs held vectors."""
         if plain is None:
             with pytest.raises(ValueError, match="divergence undefined"):
                 kl_divergence(Pmf(p), Pmf(q))
         else:
             assert kl_divergence(Pmf(p), Pmf(q)).hex() == plain
-        assert kl_divergence(Pmf(p), Pmf(q), smooth=True).hex() == smoothed
 
     def test_matches_oracle(self, rng):
         for _ in range(50):

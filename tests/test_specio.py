@@ -9,12 +9,12 @@ from jsonschema import Draft202012Validator
 from jsonschema.exceptions import best_match
 
 from cbr import specio
+from cbr.cli import main
 from cbr.specio import (
     FIXTURE_NAMES,
     SCHEMA,
     Expectation,
     SpecError,
-    all_fixtures,
     check_fixture,
     emit_spec,
     fixture_share_price,
@@ -140,6 +140,35 @@ class TestRoundTrip:
         spec = load_fixture(name).spec
         assert parse_spec(emit_spec(spec)).data == spec.data
 
+    @pytest.mark.parametrize("where, key, value", [
+        ("graph", "class_tag", "W1"),
+        ("graph", "level_tag", "V_D"),
+        ("document", "fixture_tag", "share_price_chain"),
+        ("aggregator", "statistic", "mean"),
+    ])
+    def test_keys_nothing_reads_are_ignored(self, where, key, value, tmp_path, capsys):
+        """A document that still carries one of these keys is read as one
+        with an unknown key in an open object: every command prints the
+        same bytes as on the document without it."""
+        plain = json.loads(emit_spec(fixture_share_price(3)))
+        tagged = copy.deepcopy(plain)
+        aggregator = tagged["transforms"][0]["kind"]
+        assert aggregator["type"] == "aggregator"
+        {"document": tagged, "graph": tagged["graph"], "aggregator": aggregator}[where][key] = value
+        path = tmp_path / "spec.json"
+
+        def outputs(doc):
+            path.write_text(json.dumps(doc))
+            runs = []
+            for command in (["validate"], ["analyze", "--json"],
+                            ["report", "--format", "csv"], ["report", "--format", "dot"]):
+                runs.append((main(command + [str(path)]), capsys.readouterr()))
+            return runs
+
+        expected = outputs(plain)
+        assert [rc for rc, _ in expected] == [0, 0, 0, 0]
+        assert outputs(tagged) == expected
+
 
 class TestResolveMetric:
     def test_node_and_graph_scopes(self):
@@ -216,9 +245,6 @@ class TestFixtures:
         rows = check_fixture(load_fixture(name))
         failures = [r for r in rows if not r[4]]
         assert not failures, failures
-
-    def test_all_fixtures_listing(self):
-        assert [f.name for f in all_fixtures()] == list(FIXTURE_NAMES)
 
     def test_unknown_fixture(self):
         with pytest.raises(KeyError):

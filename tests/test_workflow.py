@@ -8,7 +8,7 @@ from cbr.optimize import ParamSpace, evaluate, exhaustive_search, greedy_search
 from cbr.reconstruction import Reconstruction, UniformPreimage
 from cbr.specio import parse_spec
 from cbr.transform import CostRecord, DeclaredHuman, Transform
-from cbr.workflow import CLASS_LEVEL, LEVELS, AlphabetMismatch, Edge, Interval, WorkflowGraph
+from cbr.workflow import AlphabetMismatch, Edge, Interval, WorkflowGraph
 from conftest import make_grouping
 from oracles import workflow_oracle
 from test_specio import count_calls, enum_fork_join
@@ -125,7 +125,6 @@ class TestValidation:
         out = pushforward(t, u8)
         g = WorkflowGraph({"in": u8, "out": out}, [Edge("in", "out", t, UNI)])
         assert g.decisional == "out"
-        assert g.is_chain()
 
 
 class TestDerivedNodes:
@@ -245,7 +244,6 @@ class TestAccumulation:
         assert g.total_benefit() == Interval(7.0 + 1.0, hi + 1.0)
         assert g.total_cost("sum").amount == 8.0
         assert g.total_cost("max_parallel").amount == 5.0 + 2.0
-        assert not g.is_chain()
 
     @pytest.mark.parametrize("order", ["ab", "ba"])
     def test_node_path_through_parallel_edges_rejected(self, order):
@@ -370,43 +368,6 @@ def test_graph_step_codes_are_read_only():
     for step in graph._steps:
         with pytest.raises(ValueError, match="read-only"):
             step.codes[0] = 1
-
-
-class TestClassification:
-    @pytest.mark.parametrize(
-        "kinds,tag",
-        [
-            (["H", "V", "H"], "W1"),
-            (["V", "H"], "W2"),
-            (["M", "V", "H"], "W3"),
-            (["V", "H", "M"], "W5"),
-            (["H", "M"], "W6"),
-        ],
-    )
-    def test_chain_classes(self, kinds, tag):
-        hs = [10.0 - 2 * i for i in range(len(kinds) + 1)]
-        g = sym_chain(kinds, hs)
-        got, level = g.classify()
-        assert got == tag
-        assert level is LEVELS[CLASS_LEVEL[tag]]
-
-    def test_branching_class(self):
-        g = diamond(branch_kinds=("V", "M"), tail_kind="H")
-        got, level = g.classify()
-        assert got == "W4"
-        assert level.complexity_class == "O(n^k)"
-
-    def test_unmatched_chain_falls_back_to_level_tag(self):
-        g = sym_chain(["M", "M"], [10.0, 8.0, 5.0])
-        g.level_tag = "V_O"
-        got, level = g.classify()
-        assert got is None
-        assert level is LEVELS["V_O"]
-
-    def test_level_complexity_strings(self):
-        assert LEVELS["V_D"].complexity_class == "O(1)"
-        assert LEVELS["V_O"].complexity_class == "O(n)"
-        assert LEVELS["V_M"].complexity_class == "O(k^n) / O(n!)"
 
 
 class TestExport:
