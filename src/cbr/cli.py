@@ -6,6 +6,7 @@ Exit codes: 0 success, 1 validation or analysis error, 2 usage error.
 import argparse
 import functools
 import json
+import math
 import sys
 
 from . import optimize as opt
@@ -17,7 +18,6 @@ from .specio import (
     load_fixture,
     parse_spec,
 )
-from .transform import CostRecord
 from .workflow import MERGES
 
 # each per-edge field of ``analyze --json`` and ``report --format csv``, and
@@ -96,17 +96,18 @@ def _cmd_optimize(args) -> int:
     space = spec.param_space()
     if space is None:
         space = opt.ParamSpace(())
-    budget = None
     if args.budget is not None:
-        cm = spec.data.get("cost_model", {"kind": "time", "unit": ""})
-        budget = CostRecord(cm["kind"], args.budget, cm["unit"])
+        if not args.budget > 0:
+            raise ValueError("cost must be positive: an action always has a cost")
+        if not math.isfinite(args.budget):
+            raise ValueError("cost must be finite")
     mode = spec.entropy_mode
     if args.greedy:
         result = opt.greedy_search(
-            graph, space, budget=budget, restarts=args.restarts, entropy_mode=mode
+            graph, space, budget=args.budget, restarts=args.restarts, entropy_mode=mode
         )
     else:
-        result = opt.exhaustive_search(graph, space, budget=budget, entropy_mode=mode)
+        result = opt.exhaustive_search(graph, space, budget=args.budget, entropy_mode=mode)
     if args.frontier:
         print(opt.frontier_csv(result), end="")
         return 0
@@ -141,7 +142,7 @@ def _cmd_report(args) -> int:
 
 
 def _cmd_fixtures(args) -> int:
-    names = [args.name] if args.name else list(FIXTURE_NAMES)
+    names = list(FIXTURE_NAMES) if args.name is None else [args.name]
     all_ok = True
     for name in names:
         try:
@@ -209,7 +210,7 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         return args.func(args)
-    except (SpecError, ValueError) as exc:
+    except ValueError as exc:  # a SpecError too
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

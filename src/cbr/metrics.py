@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .alphabet import Alphabet, entropy, max_entropy
-from .transform import CostRecord, Grouping, Transform, compiled
+from .transform import CostRecord, Grouping, Transform, compiled, mutual_information
 from .reconstruction import Reconstruction, distortion_bits
 
 ENTROPY_MODES = ("actual", "maximal")
@@ -104,9 +104,15 @@ def step_metrics(
     entropy_mode: str = "actual",
     machine_centric: bool = False,
 ) -> StepMetrics:
-    """The per-step record of one edge of a workflow."""
+    """The per-step record of one edge of a workflow. ``machine_centric``
+    takes D_KL as H(input) - I(input; output), the perfect-inverse bound
+    available for machine steps on enumerated alphabets, in place of the
+    distortion of ``g``."""
     h = entropy_function(entropy_mode)
-    d = distortion_bits(g, t, input, machine_centric=machine_centric)
+    if machine_centric:
+        d = entropy(input) - mutual_information(t, input)
+    else:
+        d = distortion_bits(g, t, input)
     return StepMetrics(h(input), h(output), d, t.cost, entropy_mode)
 
 

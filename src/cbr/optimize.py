@@ -18,7 +18,6 @@ import numpy as np
 from .alphabet import Alphabet
 from .transform import (
     Aggregator,
-    CostRecord,
     DeclaredHuman,
     Quantizer,
     Transform,
@@ -30,7 +29,6 @@ from .workflow import AlphabetMismatch, Edge, Interval, WorkflowGraph
 
 DEFAULT_SEED = 0x9E3779B97F4A7C15  # documented fixed seed; override with CBR_SEED
 EXHAUSTIVE_CAP = 10**6
-OBJECTIVES = ("midpoint", "lo")  # a search scores each CBR interval by its midpoint or its lo
 
 
 @dataclass(frozen=True)
@@ -82,7 +80,12 @@ class OptimizeResult:
 
 def _seed() -> int:
     env = os.environ.get("CBR_SEED")
-    return int(env) if env else DEFAULT_SEED
+    if not env:
+        return DEFAULT_SEED
+    try:
+        return int(env)
+    except ValueError:
+        raise ValueError(f"CBR_SEED must be an integer, got {env!r}") from None
 
 
 def _uniform_boundaries(lo: float, hi: float, k: int) -> tuple:
@@ -221,11 +224,9 @@ class _Evaluator:
     """
 
     def __init__(self, g: WorkflowGraph, space: ParamSpace, entropy_mode: str, merge: str,
-                 objective: str, revisits: bool):
+                 revisits: bool):
         entropy_function(entropy_mode)  # an unknown mode raises before any evaluation
-        if objective not in OBJECTIVES:
-            raise ValueError(f"unknown objective {objective!r}")
-        self.g, self.entropy_mode, self.merge, self.objective = g, entropy_mode, merge, objective
+        self.g, self.entropy_mode, self.merge = g, entropy_mode, merge
         self.dims = dims = space.dimensions
         self.keys = [(d.target, d.field) for d in dims]
         self.first_skip = None
@@ -304,7 +305,7 @@ class _Evaluator:
         inv = 1.0 / cost
         a, b = ben_lo * inv, ben_hi * inv
         cbr_lo, cbr_hi = np.minimum(a, b), np.maximum(a, b)
-        score = 0.5 * (cbr_lo + cbr_hi) if self.objective == "midpoint" else cbr_lo
+        score = 0.5 * (cbr_lo + cbr_hi)
         records = [
             ({key: d.values[k] for key, d, k in zip(self.keys, self.dims, row)},
              c if fixed is None else fixed, ben, Interval(lo, hi))
@@ -325,18 +326,18 @@ def _frontier(cost: np.ndarray, benefit: np.ndarray) -> np.ndarray:
     return order[benefit > best_before]
 
 
-def _best(cost: np.ndarray, score: np.ndarray, budget: Optional[CostRecord]) -> Optional[int]:
+def _best(cost: np.ndarray, score: np.ndarray, budget: Optional[float]) -> Optional[int]:
     """Index of the highest score within ``budget``, then the lowest cost,
     then the first; None when no cost is within it."""
     feasible = np.arange(cost.size) if budget is None else (
-        np.flatnonzero(cost <= budget.amount + 1e-12))
+        np.flatnonzero(cost <= budget + 1e-12))
     if not feasible.size:
         return None
     return int(feasible[np.lexsort((cost[feasible], -score[feasible]))[0]])
 
 
 def _result(ev: _Evaluator, records: list, cost: np.ndarray, benefit: np.ndarray,
-            score: np.ndarray, skipped: int, budget: Optional[CostRecord],
+            score: np.ndarray, skipped: int, budget: Optional[float],
             certified: bool) -> OptimizeResult:
     """The result of a search that evaluated ``records``, one per
     assignment, with their cost, benefit-midpoint and score arrays; it
@@ -363,24 +364,23 @@ def _result(ev: _Evaluator, records: list, cost: np.ndarray, benefit: np.ndarray
 def exhaustive_search(
     g: WorkflowGraph,
     space: ParamSpace,
-    budget: Optional[CostRecord] = None,
+    budget: Optional[float] = None,
     entropy_mode: str = "actual",
     merge: str = "sum",
-    objective: str = "midpoint",
-    cap: int = EXHAUSTIVE_CAP,
 ) -> OptimizeResult:
-    """Evaluate every assignment; certified global argmax of the objective.
+    """Evaluate every assignment; certified global argmax of the CBR
+    midpoint within ``budget``, an amount in the graph's cost unit.
 
     An assignment whose branches disagree at a joint is skipped; when
     every one is, the first mismatch is raised.
     """
     count = space.combination_count()
-    if count > cap:
+    if count > EXHAUSTIVE_CAP:
         raise ValueError(
             f"parameter space has {count} combinations, over the exhaustive cap "
-            f"{cap}; use greedy_search"
+            f"{EXHAUSTIVE_CAP}; use greedy_search"
         )
-    ev = _Evaluator(g, space, entropy_mode, merge, objective, revisits=False)
+    ev = _Evaluator(g, space, entropy_mode, merge, revisits=False)
     kept, records, *arrays = ev.table([range(len(d.values)) for d in space.dimensions])
     return _result(ev, records, *arrays, kept.size - len(records), budget, certified=True)
 
@@ -388,11 +388,10 @@ def exhaustive_search(
 def greedy_search(
     g: WorkflowGraph,
     space: ParamSpace,
-    budget: Optional[CostRecord] = None,
+    budget: Optional[float] = None,
     restarts: int = 1,
     entropy_mode: str = "actual",
     merge: str = "sum",
-    objective: str = "midpoint",
     seed: Optional[int] = None,
 ) -> OptimizeResult:
     """Coordinate ascent from seeded random starts; local optimum only.
@@ -404,7 +403,7 @@ def greedy_search(
     if restarts < 1:
         raise ValueError("restarts must be positive")
     rng = random.Random(_seed() if seed is None else seed)
-    ev = _Evaluator(g, space, entropy_mode, merge, objective, revisits=True)
+    ev = _Evaluator(g, space, entropy_mode, merge, revisits=True)
     sizes = [len(d.values) for d in space.dimensions]
     evaluated = {}  # assignment -> (record, cost, benefit, score), in first-visit order
     visited = set()  # skipped assignments too

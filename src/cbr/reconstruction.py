@@ -13,7 +13,7 @@ from typing import Optional, Union
 import numpy as np
 
 from . import _kernels
-from .alphabet import Alphabet, Pmf, _finite, entropy
+from .alphabet import Alphabet, Pmf, _finite
 from .transform import (
     DeclaredHuman,
     Grouping,
@@ -21,7 +21,6 @@ from .transform import (
     Step,
     Transform,
     compiled,
-    mutual_information,
 )
 
 @dataclass(frozen=True)
@@ -133,20 +132,9 @@ def _kl_vectors(pv: np.ndarray, qv: np.ndarray) -> float:
     return _kernels.kl_bits(pv, qv)
 
 
-def distortion_bits(
-    g: Optional[Reconstruction],
-    t: Transform,
-    input: Alphabet,
-    machine_centric: bool = False,
-) -> float:
-    """Distortion D_KL(impression || input) for one step.
-
-    ``machine_centric`` substitutes H(input) - I(input; output), the
-    perfect-inverse bound available for machine steps on enumerated
-    alphabets.
-    """
-    if machine_centric:
-        return entropy(input) - mutual_information(t, input)
+def distortion_bits(g: Optional[Reconstruction], t: Transform, input: Alphabet) -> float:
+    """Distortion D_KL(impression || input) for one step; the declared bits
+    of a declared divergence, or of a human step with no reconstruction."""
     if g is None:
         if isinstance(t.kind, DeclaredHuman):
             return t.kind.declared_distortion_bits

@@ -35,10 +35,6 @@ class Interval:
     def midpoint(self) -> float:
         return 0.5 * (self.lo + self.hi)
 
-    @property
-    def is_point(self) -> bool:
-        return self.hi - self.lo <= 1e-12
-
     def __add__(self, other):
         if isinstance(other, Interval):
             return Interval(self.lo + other.lo, self.hi + other.hi)

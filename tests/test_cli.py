@@ -139,6 +139,42 @@ class TestOptimize:
         assert main(["optimize", tunable_file, "--budget", "0.1"]) == 1
         assert "infeasible budget" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("search", [[], ["--greedy"]], ids=["exhaustive", "greedy"])
+    @pytest.mark.parametrize("budget", ["2", "3", "10"])
+    def test_budget_without_a_cost_model(self, budget, search, tunable_file, tmp_path, capsys):
+        """A budget is an amount in the transforms' one cost unit, whether or
+        not the spec declares a cost model: the output is the same."""
+        with open(tunable_file) as fh:
+            data = json.load(fh)
+        del data["cost_model"]
+        bare = tmp_path / "bare.json"
+        bare.write_text(json.dumps(data))
+        outputs = []
+        for path in (tunable_file, str(bare)):
+            code = main(["optimize", path, "--budget", budget] + search)
+            outputs.append((code, *capsys.readouterr()))
+        assert outputs[0] == outputs[1]
+        assert outputs[0][0] == (1 if budget == "2" else 0)
+
+    @pytest.mark.parametrize("budget, message", [
+        ("inf", "cost must be finite"),
+        ("nan", "cost must be positive: an action always has a cost"),
+        ("0", "cost must be positive: an action always has a cost"),
+        ("-1", "cost must be positive: an action always has a cost"),
+    ])
+    @pytest.mark.parametrize("search", [[], ["--greedy"]], ids=["exhaustive", "greedy"])
+    def test_budget_not_a_positive_finite_number(self, budget, message, search, tunable_file,
+                                                 monkeypatch, capsys):
+        """A budget is checked before any assignment is evaluated."""
+        monkeypatch.setattr(cli.opt, "_Evaluator", None)
+        assert main(["optimize", tunable_file, "--budget", budget] + search) == 1
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+
+    def test_seed_not_an_integer(self, tunable_file, monkeypatch, capsys):
+        monkeypatch.setenv("CBR_SEED", "abc")
+        assert main(["optimize", tunable_file, "--greedy"]) == 1
+        assert capsys.readouterr() == ("", "error: CBR_SEED must be an integer, got 'abc'\n")
+
     def test_duplicate_dimension(self, tunable_file, capsys):
         with open(tunable_file) as fh:
             data = json.load(fh)
@@ -543,3 +579,7 @@ class TestFixtures:
     def test_name_is_not_a_path(self, capsys):
         assert main(["fixtures", "--name", "../fixtures/share_price_chain"]) == 2
         assert capsys.readouterr() == ("", "unknown fixture: ../fixtures/share_price_chain\n")
+
+    def test_empty_name(self, capsys):
+        assert main(["fixtures", "--name", ""]) == 2
+        assert capsys.readouterr() == ("", "unknown fixture: \n")

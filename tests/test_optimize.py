@@ -2,7 +2,6 @@ import itertools
 import json
 import math
 import random
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -12,7 +11,6 @@ from cbr.alphabet import entropy, symbolic
 from cbr.cli import main
 from cbr.optimize import (
     DEFAULT_SEED,
-    OBJECTIVES,
     Dimension,
     ParamSpace,
     _frontier,
@@ -366,29 +364,18 @@ class TestExhaustive:
         assert result.best_cost == pytest.approx(2.0 + 2.0)
 
     def test_budget_filters(self):
-        result = exhaustive_search(
-            chain_graph(), chain_space(), budget=CostRecord("time", 2.0, "s")
-        )
+        result = exhaustive_search(chain_graph(), chain_space(), budget=2.0)
         assert result.best_cost <= 2.0
 
     def test_infeasible_budget(self):
         with pytest.raises(ValueError, match="infeasible budget"):
-            exhaustive_search(
-                chain_graph(), chain_space(), budget=CostRecord("time", 0.5, "s")
-            )
+            exhaustive_search(chain_graph(), chain_space(), budget=0.5)
 
-    def test_cap_enforced(self):
-        with pytest.raises(ValueError, match="exhaustive cap"):
-            exhaustive_search(chain_graph(), chain_space(), cap=4)
-
-    @pytest.mark.parametrize("search", [exhaustive_search, greedy_search])
-    def test_unknown_objective_rejected_before_evaluation(self, search, monkeypatch):
-        def refuse(*args):
-            raise AssertionError("an assignment was evaluated")
-
-        monkeypatch.setattr(WorkflowGraph, "total_benefit", refuse)
-        with pytest.raises(ValueError, match="^unknown objective 'typo'$"):
-            search(chain_graph(), chain_space(), objective="typo")
+    def test_cap_enforced(self, monkeypatch):
+        monkeypatch.setattr("cbr.optimize.EXHAUSTIVE_CAP", 4)
+        with pytest.raises(ValueError, match="^parameter space has 12 combinations, over the "
+                                             "exhaustive cap 4; use greedy_search$"):
+            exhaustive_search(chain_graph(), chain_space())
 
 
 class TestGreedy:
@@ -473,7 +460,7 @@ class TestPareto:
 # -- the searches against a plain loop of evaluate(apply_assignment(...)) ------
 
 
-def brute_force(g, space, budget, entropy_mode, merge, objective):
+def brute_force(g, space, budget, entropy_mode, merge):
     """Records, best record and frontier by one evaluation per assignment."""
     records = []
     for assignment in space.assignments():
@@ -482,9 +469,9 @@ def brute_force(g, space, budget, entropy_mode, merge, objective):
     best = None
     for record in records:
         _, cost, _, cbr = record
-        if budget is not None and cost > budget.amount + 1e-12:
+        if budget is not None and cost > budget + 1e-12:
             continue
-        score = cbr.midpoint if objective == "midpoint" else cbr.lo
+        score = cbr.midpoint
         if best is None or score > best[0] or (score == best[0] and cost < best[1][1]):
             best = (score, record)
     if best is None:
@@ -558,18 +545,16 @@ class TestAgainstBruteForce:
     def test_random_spaces(self, graph_name):
         rng = random.Random(f"separable-{graph_name}")
         g = PROPERTY_GRAPHS[graph_name]()
-        base = g.total_cost()
+        base = g.total_cost().amount
         compared = 0
         for case in range(150):
             space = random_space(rng, g)
             merge = rng.choice(["sum", "max_parallel"])
-            objective = rng.choice(["midpoint", "lo"])
             mode = rng.choice(["actual", "maximal"])
-            budget = rng.choice([None, replace(base, amount=base.amount * rng.choice([0.5, 0.8, 1.2]))])
-            expected, error = outcome(brute_force, g, space, budget, mode, merge, objective)
+            budget = rng.choice([None, base * rng.choice([0.5, 0.8, 1.2])])
+            expected, error = outcome(brute_force, g, space, budget, mode, merge)
             got, got_error = outcome(
-                exhaustive_search, g, space, budget=budget, entropy_mode=mode,
-                merge=merge, objective=objective,
+                exhaustive_search, g, space, budget=budget, entropy_mode=mode, merge=merge,
             )
             assert got_error == error, (case, space)
             if error is not None:
@@ -585,7 +570,7 @@ class TestAgainstBruteForce:
 
             greedy, greedy_error = outcome(
                 greedy_search, g, space, budget=budget, restarts=2, entropy_mode=mode,
-                merge=merge, objective=objective, seed=case,
+                merge=merge, seed=case,
             )
             if greedy_error is not None:
                 assert greedy_error == "infeasible budget"
@@ -593,10 +578,9 @@ class TestAgainstBruteForce:
             scores = []
             for assignment, cost, ben, cbr in greedy.records:
                 assert (cost, ben, cbr) == evaluate(apply_assignment(g, assignment), mode, merge)
-                if budget is None or cost <= budget.amount + 1e-12:
-                    scores.append(cbr.midpoint if objective == "midpoint" else cbr.lo)
-            best_score = greedy.best_cbr.midpoint if objective == "midpoint" else greedy.best_cbr.lo
-            assert best_score == max(scores)
+                if budget is None or cost <= budget + 1e-12:
+                    scores.append(cbr.midpoint)
+            assert greedy.best_cbr.midpoint == max(scores)
             assert any(
                 r[0] == greedy.best_assignment and r[1] == greedy.best_cost and r[3] == greedy.best_cbr
                 for r in greedy.records
@@ -641,7 +625,7 @@ class TestAgainstBruteForce:
 # -- exhaustive search against workflow_oracle, one call per assignment --------
 
 
-def oracle_search(nodes, steps, space, budget, mode, merge, objective):
+def oracle_search(nodes, steps, space, budget, mode, merge):
     """(best assignment, frontier) of ``space`` on a drawn workflow, each
     assignment scored from first principles by ``workflow_oracle``. Scores
     within 1e-9 tie, as do benefits on the frontier; a tie goes to the lower
@@ -663,9 +647,9 @@ def oracle_search(nodes, steps, space, budget, mode, merge, objective):
         lo, hi = oracle["benefit"][mode]
         cost = oracle["cost"][merge]
         cbr_lo, cbr_hi = sorted((lo / cost, hi / cost))
-        score = 0.5 * (cbr_lo + cbr_hi) if objective == "midpoint" else cbr_lo
+        score = 0.5 * (cbr_lo + cbr_hi)
         points.append((assignment, cost, 0.5 * (lo + hi), score))
-    feasible = [p for p in points if budget is None or p[1] <= budget.amount + 1e-12]
+    feasible = [p for p in points if budget is None or p[1] <= budget + 1e-12]
     best = None
     if feasible:
         top = max(p[3] for p in feasible)
@@ -709,19 +693,14 @@ def oracle_cases(draw):
        st.sampled_from([None, 0.5, 0.8, 1.2]))
 def test_exhaustive_equals_oracle_brute_force(case, mode, merge, budget_share):
     nodes, steps, graph, space = case
-    budget = None
-    if budget_share is not None:
-        budget = replace(COST, amount=graph.total_cost(merge).amount * budget_share)
-    for objective in OBJECTIVES:
-        best, frontier = oracle_search(nodes, steps, space, budget, mode, merge, objective)
-        if best is None:
-            with pytest.raises(ValueError, match="infeasible budget"):
-                exhaustive_search(graph, space, budget=budget, entropy_mode=mode, merge=merge,
-                                  objective=objective)
-            continue
-        result = exhaustive_search(graph, space, budget=budget, entropy_mode=mode, merge=merge,
-                                   objective=objective)
-        assert result.best_assignment == best, objective
-        assert len(result.frontier) == len(frontier)
-        for (cost, ben), (want_cost, want_ben) in zip(result.frontier, frontier):
-            assert cost == want_cost and math.isclose(ben, want_ben, rel_tol=1e-9, abs_tol=1e-9)
+    budget = None if budget_share is None else graph.total_cost(merge).amount * budget_share
+    best, frontier = oracle_search(nodes, steps, space, budget, mode, merge)
+    if best is None:
+        with pytest.raises(ValueError, match="infeasible budget"):
+            exhaustive_search(graph, space, budget=budget, entropy_mode=mode, merge=merge)
+        return
+    result = exhaustive_search(graph, space, budget=budget, entropy_mode=mode, merge=merge)
+    assert result.best_assignment == best
+    assert len(result.frontier) == len(frontier)
+    for (cost, ben), (want_cost, want_ben) in zip(result.frontier, frontier):
+        assert cost == want_cost and math.isclose(ben, want_ben, rel_tol=1e-9, abs_tol=1e-9)

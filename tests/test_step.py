@@ -245,8 +245,8 @@ def test_machine_centric_distortion(kind, inp):
     t, x = case(kind, inp)
     error = mi_error(kind, inp)
     if error is not None:
-        return expect_error(error, distortion_bits, None, t, x, machine_centric=True)
-    d = distortion_bits(None, t, x, machine_centric=True)
+        return expect_error(error, step_metrics, t, None, x, OUTPUT, machine_centric=True)
+    d = step_metrics(t, None, x, OUTPUT, machine_centric=True).d_kl
     assert d == pytest.approx(entropy_oracle(P.values()) - mi_value(kind), abs=1e-12)
 
 
@@ -518,7 +518,7 @@ def test_graph_path_equals_public_path_and_oracles(workflow):
         e, x, p = edges[s["name"]], graph.nodes[s["src"]], nodes[s["src"]]
         groups = sorted(set(s["map"].values()))
         joint = [[p[a] if s["map"][a] == y else 0.0 for y in groups] for a in p]
-        mc = distortion_bits(None, e.transform, x, machine_centric=True)
+        mc = step_metrics(e.transform, None, x, graph.nodes[s["dst"]], machine_centric=True).d_kl
         assert close(mc, entropy_oracle(p.values()) - mi_oracle(joint))
         if s["cuts"] is None:
             assert grouping_check(x, e.transform) <= 1e-9

@@ -162,7 +162,7 @@ class TestAccumulation:
     def test_chain_benefit_is_sum(self):
         g = sym_chain(["M", "V", "H"], [10.0, 8.0, 5.0, 2.0], [0.5, 0.0, 1.0])
         ben = g.total_benefit()
-        assert ben.is_point
+        assert ben.hi == pytest.approx(ben.lo, abs=1e-12)
         assert ben.lo == pytest.approx((10 - 8 - 0.5) + (8 - 5) + (5 - 2 - 1))
 
     def test_chain_cost_merges_agree(self):
@@ -266,7 +266,7 @@ class TestAccumulation:
     def test_overall_cbr_scales_by_cost(self):
         g = sym_chain(["M", "V"], [10.0, 8.0, 5.0], costs=[2.0, 3.0])
         cbr = g.overall_cbr()
-        assert cbr.is_point
+        assert cbr.hi == pytest.approx(cbr.lo, abs=1e-12)
         assert cbr.lo == pytest.approx(5.0 / 5.0)
 
     def test_path_metrics(self):
