@@ -91,6 +91,9 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_optimize(args) -> int:
+    if args.restarts is not None and not args.greedy:
+        print("error: --restarts applies only to --greedy", file=sys.stderr)
+        return 2
     spec = _load(args.file)
     graph = spec.build_graph()
     space = spec.param_space()
@@ -103,8 +106,9 @@ def _cmd_optimize(args) -> int:
             raise ValueError("cost must be finite")
     mode = spec.entropy_mode
     if args.greedy:
+        restarts = 1 if args.restarts is None else args.restarts
         result = opt.greedy_search(
-            graph, space, budget=args.budget, restarts=args.restarts, entropy_mode=mode
+            graph, space, budget=args.budget, restarts=restarts, entropy_mode=mode
         )
     else:
         result = opt.exhaustive_search(graph, space, budget=args.budget, entropy_mode=mode)
@@ -184,7 +188,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("file")
     sp.add_argument("--budget", type=float, default=None)
     sp.add_argument("--greedy", action="store_true")
-    sp.add_argument("--restarts", type=int, default=1)
+    sp.add_argument("--restarts", type=int, default=None, help="with --greedy; default 1")
     sp.add_argument("--frontier", action="store_true", help="emit the Pareto frontier as CSV")
     sp.set_defaults(func=_cmd_optimize)
 

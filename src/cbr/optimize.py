@@ -8,9 +8,11 @@ spaces without a global-optimum guarantee.
 
 import itertools
 import math
+import operator
 import os
 import random
-from dataclasses import dataclass, field, replace
+from collections.abc import Sequence
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -73,7 +75,8 @@ class OptimizeResult:
     frontier: list  # nondominated (cost, benefit) points, cost ascending
     evaluations: int
     certified: bool
-    records: list = field(default_factory=list)  # (assignment, cost, benefit, cbr)
+    records: Sequence  # (assignment, cost, benefit, cbr) per evaluation, read-only
+    frontier_records: tuple  # indices into records of the frontier points, ascending
     skipped: int = 0  # assignments whose branches disagree at a joint: no record
     first_skip: str = ""  # the first one's mismatch
 
@@ -265,8 +268,8 @@ class _Evaluator:
     def table(self, candidates: list) -> tuple:
         """Every assignment that takes one of ``candidates[i]`` (value
         indices) for each dimension i, in lexicographic order: a mask of
-        those kept, and their records and cost, benefit-midpoint and score
-        arrays.
+        those kept, and their records (a ``Records`` view) and cost,
+        benefit-midpoint and score arrays.
 
         Each structural sub-assignment fills the cost-only axes of its
         block with one broadcast cost array and one benefit interval. A
@@ -306,14 +309,51 @@ class _Evaluator:
         a, b = ben_lo * inv, ben_hi * inv
         cbr_lo, cbr_hi = np.minimum(a, b), np.maximum(a, b)
         score = 0.5 * (cbr_lo + cbr_hi)
-        records = [
-            ({key: d.values[k] for key, d, k in zip(self.keys, self.dims, row)},
-             c if fixed is None else fixed, ben, Interval(lo, hi))
-            for row, c, (ben, fixed), lo, hi in zip(
-                itertools.compress(itertools.product(*candidates), kept), cost.tolist(),
-                map(blocks.__getitem__, block.tolist()), cbr_lo.tolist(), cbr_hi.tolist())
-        ]
+        values = [[d.values[k] for k in candidates[i]] for i, d in enumerate(self.dims)]
+        records = Records(self.keys, values, kept, cost, block, blocks, cbr_lo, cbr_hi)
         return kept, records, cost, 0.5 * (ben_lo + ben_hi), score
+
+
+class Records(Sequence):
+    """The records of one table, read-only: (assignment, cost, benefit,
+    cbr) for each kept assignment, in lexicographic order.
+
+    A record is built when it is read, so a search builds only those its
+    caller reads; iteration builds them in bulk. A record's cost is its
+    block's fixed total where no cost dimension reaches the block.
+    """
+
+    def __init__(self, keys, values, kept, cost, block, blocks, cbr_lo, cbr_hi):
+        self._keys, self._values, self._kept = keys, values, kept  # each dimension's candidates
+        self._at = np.flatnonzero(kept)  # each record's flat position in the table
+        self._cost, self._block, self._blocks = cost, block, blocks
+        self._cbr_lo, self._cbr_hi = cbr_lo, cbr_hi
+
+    def _record(self, row, cost, block, lo, hi) -> tuple:
+        ben, fixed = self._blocks[block]
+        return (dict(zip(self._keys, row)), cost if fixed is None else fixed, ben,
+                Interval(lo, hi))
+
+    def __len__(self) -> int:
+        return self._at.size
+
+    def __getitem__(self, i) -> tuple:
+        i = operator.index(i)  # numpy then reads a negative index and raises IndexError
+        picks = np.unravel_index(self._at[i], tuple(map(len, self._values)))
+        row = [values[k] for values, k in zip(self._values, picks)]
+        return self._record(row, self._cost[i].item(), self._block[i].item(),
+                            self._cbr_lo[i].item(), self._cbr_hi[i].item())
+
+    def __iter__(self):
+        return map(self._record,
+                   itertools.compress(itertools.product(*self._values), self._kept),
+                   self._cost.tolist(), self._block.tolist(),
+                   self._cbr_lo.tolist(), self._cbr_hi.tolist())
+
+    def __eq__(self, other):
+        if isinstance(other, (list, Records)):
+            return list(self) == list(other)
+        return NotImplemented
 
 
 def _frontier(cost: np.ndarray, benefit: np.ndarray) -> np.ndarray:
@@ -336,7 +376,7 @@ def _best(cost: np.ndarray, score: np.ndarray, budget: Optional[float]) -> Optio
     return int(feasible[np.lexsort((cost[feasible], -score[feasible]))[0]])
 
 
-def _result(ev: _Evaluator, records: list, cost: np.ndarray, benefit: np.ndarray,
+def _result(ev: _Evaluator, records: Sequence, cost: np.ndarray, benefit: np.ndarray,
             score: np.ndarray, skipped: int, budget: Optional[float],
             certified: bool) -> OptimizeResult:
     """The result of a search that evaluated ``records``, one per
@@ -348,14 +388,16 @@ def _result(ev: _Evaluator, records: list, cost: np.ndarray, benefit: np.ndarray
     if best is None:
         raise ValueError("infeasible budget")
     assignment, best_cost, _, best_cbr = records[best]
+    frontier = _frontier(cost, benefit).tolist()
     return OptimizeResult(
         best_assignment=assignment,
         best_cbr=best_cbr,
         best_cost=best_cost,
-        frontier=[(records[i][1], records[i][2].midpoint) for i in _frontier(cost, benefit)],
+        frontier=[(c, ben.midpoint) for _, c, ben, _ in map(records.__getitem__, frontier)],
         evaluations=len(records),
         certified=certified,
         records=records,
+        frontier_records=tuple(sorted(frontier)),
         skipped=skipped,
         first_skip=str(ev.first_skip or ""),
     )
@@ -439,17 +481,14 @@ def greedy_search(
 
 
 def frontier_csv(result: OptimizeResult) -> str:
-    """Nondominated evaluations as CSV, one row per frontier point."""
+    """Nondominated evaluations as CSV, one row per frontier point, in
+    record order; only the frontier records are read."""
     lines = ["assignment,cost,benefit_lo,benefit_hi,cbr_mid"]
-    frontier = set(result.frontier)
-    seen = set()
-    for assignment, cost, ben, cbr in result.records:
-        key = (cost, ben.midpoint)
-        if key in frontier and key not in seen:
-            seen.add(key)
-            desc = ";".join(
-                f"{target}.{field_name}={value}"
-                for (target, field_name), value in sorted(assignment.items())
-            )
-            lines.append(f"{desc},{cost},{ben.lo},{ben.hi},{cbr.midpoint}")
+    for i in result.frontier_records:
+        assignment, cost, ben, cbr = result.records[i]
+        desc = ";".join(
+            f"{target}.{field_name}={value}"
+            for (target, field_name), value in sorted(assignment.items())
+        )
+        lines.append(f"{desc},{cost},{ben.lo},{ben.hi},{cbr.midpoint}")
     return "\n".join(lines) + "\n"

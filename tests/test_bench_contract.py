@@ -55,6 +55,15 @@ def test_enum_analyze_compiles_each_step_once(monkeypatch):
     assert calls["deterministic_codes"] == 4
 
 
+def test_optimize_sweep_checks_a_search(monkeypatch, tmp_path):
+    """The benchmark's optimize check reads every record of a search by
+    iteration, as well as the best assignment and the frontier."""
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    workloads = importlib.import_module("workloads")
+    sweep = workloads.OptimizeSweep(1, str(tmp_path))
+    assert sweep.check_round({0: sweep.search()}) == 0
+
+
 def test_cli_columns_are_the_benchmark_csv_header(monkeypatch, tmp_path):
     """The per-edge keys of ``analyze --json`` and the header of ``report
     --format csv`` are the columns the benchmark's checks read."""

@@ -129,6 +129,11 @@ class TestOptimize:
         assert main(["optimize", tunable_file, "--greedy", "--restarts", "2"]) == 0
         assert "certified global optimum: False" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("extra", [[], ["--frontier"]], ids=["plain", "frontier"])
+    def test_restarts_without_greedy_is_usage_error(self, extra, tunable_file, capsys):
+        assert main(["optimize", tunable_file, "--restarts", "3", *extra]) == 2
+        assert capsys.readouterr() == ("", "error: --restarts applies only to --greedy\n")
+
     def test_frontier_csv(self, tunable_file, capsys):
         assert main(["optimize", tunable_file, "--frontier"]) == 0
         lines = capsys.readouterr().out.strip().splitlines()

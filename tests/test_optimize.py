@@ -2,6 +2,7 @@ import itertools
 import json
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -620,6 +621,123 @@ class TestAgainstBruteForce:
             for a, c, b, _ in result.records
         )
 
+
+
+def share_price_case(bins_only=False):
+    """Share-price r=3 with the golden space; with ``bins_only`` no cost
+    dimension reaches a block, so each record's cost is the block's total."""
+    spec = parse_spec(json.dumps(_share_price_space()))
+    space = spec.param_space()
+    if bins_only:
+        space = ParamSpace(tuple(d for d in space.dimensions if d.field == "bins"))
+    return spec.build_graph(), space, spec.entropy_mode
+
+
+VIEW_CASES = {
+    "share_price": share_price_case,
+    "share_price_bins_only": lambda: share_price_case(bins_only=True),
+    "fork_join_skips": lambda: (fork_join_graph(), TestSkippedAssignments().space(), "actual"),
+}
+
+
+def float_key_frontier_csv(result):
+    """Frontier CSV rows found by matching each record's (cost, benefit
+    midpoint) against ``result.frontier``, first match of each point in
+    record order, from ``list(result.records)``: the reference."""
+    lines = ["assignment,cost,benefit_lo,benefit_hi,cbr_mid"]
+    frontier, seen = set(result.frontier), set()
+    for assignment, cost, ben, cbr in list(result.records):
+        key = (cost, ben.midpoint)
+        if key in frontier and key not in seen:
+            seen.add(key)
+            desc = ";".join(f"{t}.{f}={v}" for (t, f), v in sorted(assignment.items()))
+            lines.append(f"{desc},{cost},{ben.lo},{ben.hi},{cbr.midpoint}")
+    return "\n".join(lines) + "\n"
+
+
+class TestRecordsView:
+    """An exhaustive search's records are a read-only view that builds each
+    record when read; it reads as the list of records it stands for."""
+
+    @pytest.fixture(params=sorted(VIEW_CASES))
+    def case(self, request):
+        return VIEW_CASES[request.param]()
+
+    def test_reads_as_a_list(self, case):
+        g, space, mode = case
+        view = exhaustive_search(g, space, entropy_mode=mode).records
+        records, n = list(view), len(view)
+        assert n == len(records) > 1
+        assert [view[i] for i in range(n)] == records
+        assert [view[i] for i in range(-n, 0)] == records
+        assert view[np.int64(-1)] == records[-1]
+        for i in (n, -n - 1):
+            with pytest.raises(IndexError):
+                view[i]
+        for i in (slice(0, 1), 1.0):  # an integer index only, not a slice
+            with pytest.raises(TypeError):
+                view[i]
+        assert view == records and records == view
+        assert view != records[:-1] and records[:-1] != view
+        assert view != [records[0]] * n
+        # types as well as values: a fixed total stays as the graph gives it
+        for assignment, cost, ben, cbr in records:
+            want = evaluate(apply_assignment(g, assignment), mode)
+            assert (cost, ben, cbr) == want and type(cost) is type(want[0])
+
+    def test_read_only(self, case):
+        g, space, mode = case
+        view = exhaustive_search(g, space, entropy_mode=mode).records
+        with pytest.raises(TypeError):
+            view[0] = view[1]
+        with pytest.raises(TypeError):
+            del view[0]
+        with pytest.raises(AttributeError):
+            view.append(view[0])
+        assert view[0] == list(view)[0]
+
+    @pytest.mark.parametrize("search", ["exhaustive", "greedy"])
+    def test_frontier_csv_reads_only_frontier_records(self, search, case):
+        g, space, mode = case
+        if search == "exhaustive":
+            result = exhaustive_search(g, space, entropy_mode=mode)
+        else:
+            result = greedy_search(g, space, restarts=3, entropy_mode=mode, seed=1)
+        assert frontier_csv(result) == float_key_frontier_csv(result)
+        assert len(result.frontier_records) == len(result.frontier)
+
+    @pytest.mark.parametrize("graph_name", sorted(PROPERTY_GRAPHS))
+    def test_frontier_csv_on_random_spaces(self, graph_name):
+        """The spaces of ``TestAgainstBruteForce``: some frontiers have
+        several points, in a record order other than cost order."""
+        rng = random.Random(f"frontier-{graph_name}")
+        g = PROPERTY_GRAPHS[graph_name]()
+        for case in range(60):
+            space, merge = random_space(rng, g), rng.choice(["sum", "max_parallel"])
+            for result, error in (
+                outcome(exhaustive_search, g, space, merge=merge),
+                outcome(greedy_search, g, space, restarts=2, merge=merge, seed=case),
+            ):
+                if error is None:
+                    assert frontier_csv(result) == float_key_frontier_csv(result)
+
+    def test_large_cost_only_space_memory(self):
+        """The 10^5-combination space of ``TestAgainstBruteForce``: the
+        search holds arrays, not one record per assignment, so its traced
+        peak stays under 25 MB (a list of 10^5 records took 56 MB)."""
+        g = fixture_share_price(1).build_graph()
+        swept = ["aggregate", "plot", "recognize", "correlate", "decide_corr"]
+        values = [tuple(0.5 + 0.25 * k + 0.01 * i for k in range(10)) for i in range(len(swept))]
+        space = ParamSpace(
+            tuple(Dimension(f"transform:{t}", "cost_amount", v) for t, v in zip(swept, values))
+        )
+        tracemalloc.start()
+        try:
+            exhaustive_search(g, space, entropy_mode="maximal")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 25e6
 
 
 # -- exhaustive search against workflow_oracle, one call per assignment --------
