@@ -219,6 +219,4 @@ def max_entropy(a: Alphabet) -> float:
 
 def product(a: Alphabet, count: int, name: Optional[str] = None) -> Alphabet:
     """``count`` independent copies of ``a``; entropies scale linearly."""
-    if count < 1:
-        raise ValueError("empty product")
     return Alphabet(name or f"{a.name}^{count}", Product(a, count))

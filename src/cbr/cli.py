@@ -6,7 +6,6 @@ Exit codes: 0 success, 1 validation or analysis error, 2 usage error.
 import argparse
 import functools
 import json
-import math
 import sys
 
 from . import optimize as opt
@@ -99,11 +98,6 @@ def _cmd_optimize(args) -> int:
     space = spec.param_space()
     if space is None:
         space = opt.ParamSpace(())
-    if args.budget is not None:
-        if not args.budget > 0:
-            raise ValueError("cost must be positive: an action always has a cost")
-        if not math.isfinite(args.budget):
-            raise ValueError("cost must be finite")
     mode = spec.entropy_mode
     if args.greedy:
         restarts = 1 if args.restarts is None else args.restarts
@@ -166,7 +160,9 @@ def _cmd_fixtures(args) -> int:
     return 0 if all_ok else 1
 
 
-def build_parser() -> argparse.ArgumentParser:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser of ``main``, built on its first call and then reused."""
     p = argparse.ArgumentParser(
         prog="cbr",
         description="Cost-benefit analysis of data-analysis and visualization workflows",
@@ -202,12 +198,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=_cmd_fixtures)
 
     return p
-
-
-@functools.cache
-def _parser() -> argparse.ArgumentParser:
-    """The parser of ``main``, built on its first call and then reused."""
-    return build_parser()
 
 
 def main(argv=None) -> int:

@@ -110,7 +110,7 @@ def step_metrics(
     distortion of ``g``."""
     h = entropy_function(entropy_mode)
     if machine_centric:
-        d = entropy(input) - mutual_information(t, input)
+        d = max(entropy(input) - mutual_information(t, input), 0.0)  # rounding can go below 0
     else:
         d = distortion_bits(g, t, input)
     return StepMetrics(h(input), h(output), d, t.cost, entropy_mode)

@@ -24,6 +24,7 @@ from .transform import (
     Quantizer,
     Transform,
     _count,
+    check_cost,
 )
 from .metrics import entropy_function
 from .reconstruction import DeclaredDivergence, Reconstruction
@@ -31,6 +32,8 @@ from .workflow import AlphabetMismatch, Edge, Interval, WorkflowGraph
 
 DEFAULT_SEED = 0x9E3779B97F4A7C15  # documented fixed seed; override with CBR_SEED
 EXHAUSTIVE_CAP = 10**6
+SCORE_TIE = 1e-9  # scores this close tie: the lower cost wins, then the first
+_CHUNK = 4096  # records that ``Records.__iter__`` converts at a time: its memory is bounded
 
 
 @dataclass(frozen=True)
@@ -160,19 +163,24 @@ def _apply(g: WorkflowGraph, e: Edge, target: str, field_name: str, value):
     return None
 
 
+class DanglingReference(ValueError):
+    """A dimension names no transform, reconstruction or edge of the graph."""
+
+
 def apply_dimension(g: WorkflowGraph, d: Dimension) -> list:
     """``d``'s values applied, in order, to the transform or reconstruction
-    of ``g`` that it names (to an edge: the ``enabled`` flags); empty when
-    it names nothing in ``g``, which changes nothing, as in ``apply_assignment``.
+    of ``g`` that it names (to an edge: the ``enabled`` flags).
 
-    Raises the ValueError that a search raises on ``d``: a field that does
-    not apply to the target, or a value that the field rejects.
+    Raises the ValueError that a search raises on ``d``: a DanglingReference
+    when it names nothing in ``g``, a field that does not apply to the
+    target, or a value that the field rejects.
     """
     for e in g.edges:
         first = _apply(g, e, d.target, d.field, d.values[0])
         if first is not None:
             return [first] + [_apply(g, e, d.target, d.field, v) for v in d.values[1:]]
-    return []
+    scope, name = d.target.split(":", 1)
+    raise DanglingReference(f"dangling reference: {scope} {name!r}")
 
 
 def apply_assignment(g: WorkflowGraph, assignment: dict) -> WorkflowGraph:
@@ -235,12 +243,11 @@ class _Evaluator:
         self.first_skip = None
         self.structural = [i for i, d in enumerate(dims) if not _is_cost_only(d)]
         self.cost_only = [i for i, d in enumerate(dims) if _is_cost_only(d)]
-        # dimension index -> (transform name, validated amount per value); a
-        # dimension naming no transform of the graph changes nothing
+        # dimension index -> (transform name, validated amount per value)
         self.amounts = {}
         for i, d in enumerate(dims):
             applied = apply_dimension(g, d)  # every dimension, so that a bad one raises here
-            if applied and _is_cost_only(d):
+            if _is_cost_only(d):
                 self.amounts[i] = d.target.split(":", 1)[1], np.array([t.cost.amount for t in applied])
         # structural value indices -> structure(), for a search that comes back
         # to them; a graph holds kilobytes, and exhaustive search visits each once
@@ -345,10 +352,12 @@ class Records(Sequence):
                             self._cbr_lo[i].item(), self._cbr_hi[i].item())
 
     def __iter__(self):
-        return map(self._record,
-                   itertools.compress(itertools.product(*self._values), self._kept),
-                   self._cost.tolist(), self._block.tolist(),
-                   self._cbr_lo.tolist(), self._cbr_hi.tolist())
+        rows = itertools.compress(itertools.product(*self._values), self._kept)
+        for at in range(0, len(self), _CHUNK):
+            chunk = slice(at, at + _CHUNK)
+            yield from map(self._record, itertools.islice(rows, _CHUNK),
+                           self._cost[chunk].tolist(), self._block[chunk].tolist(),
+                           self._cbr_lo[chunk].tolist(), self._cbr_hi[chunk].tolist())
 
     def __eq__(self, other):
         if isinstance(other, (list, Records)):
@@ -367,13 +376,15 @@ def _frontier(cost: np.ndarray, benefit: np.ndarray) -> np.ndarray:
 
 
 def _best(cost: np.ndarray, score: np.ndarray, budget: Optional[float]) -> Optional[int]:
-    """Index of the highest score within ``budget``, then the lowest cost,
-    then the first; None when no cost is within it."""
+    """Index of the highest score within ``budget``, scores within
+    ``SCORE_TIE`` of it tied, then the lowest cost, then the first; None
+    when no cost is within it."""
     feasible = np.arange(cost.size) if budget is None else (
         np.flatnonzero(cost <= budget + 1e-12))
     if not feasible.size:
         return None
-    return int(feasible[np.lexsort((cost[feasible], -score[feasible]))[0]])
+    tied = feasible[score[feasible] >= score[feasible].max() - SCORE_TIE]
+    return int(tied[np.argmin(cost[tied])])  # argmin takes the first of equal costs
 
 
 def _result(ev: _Evaluator, records: Sequence, cost: np.ndarray, benefit: np.ndarray,
@@ -416,6 +427,8 @@ def exhaustive_search(
     An assignment whose branches disagree at a joint is skipped; when
     every one is, the first mismatch is raised.
     """
+    if budget is not None:
+        check_cost(budget)
     count = space.combination_count()
     if count > EXHAUSTIVE_CAP:
         raise ValueError(
@@ -440,8 +453,11 @@ def greedy_search(
 
     From each start, each dimension in turn scores its line (every value
     of that dimension, the others fixed) and moves to the line's best when
-    that scores strictly higher. Each assignment is evaluated once; an
-    assignment that ``exhaustive_search`` would skip is not evaluated."""
+    that scores higher by more than ``SCORE_TIE``. Each assignment is
+    evaluated once; an assignment that ``exhaustive_search`` would skip is
+    not evaluated."""
+    if budget is not None:
+        check_cost(budget)
     if restarts < 1:
         raise ValueError("restarts must be positive")
     rng = random.Random(_seed() if seed is None else seed)
@@ -473,7 +489,7 @@ def greedy_search(
                 line = [[k] for k in at]
                 line[i] = range(n)
                 found = best_of(line)
-                if found is not None and (current is None or found[0] > current):
+                if found is not None and (current is None or found[0] > current + SCORE_TIE):
                     (current, at), improved = found, True
     records, cost, benefit, score = zip(*evaluated.values()) if evaluated else ((),) * 4
     return _result(ev, list(records), np.array(cost), np.array(benefit), np.array(score),

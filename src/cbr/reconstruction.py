@@ -96,8 +96,8 @@ def _check_impression(g: Reconstruction, t: Transform, input: Alphabet) -> None:
 
 
 def _impression_vector(g: Reconstruction, step: Step) -> np.ndarray:
-    """The impression's probabilities, aligned with the input's letter ids."""
-    _check_impression(g, step.transform, step.input)
+    """The impression's probabilities, aligned with the input's letter ids;
+    ``g`` on ``step`` has passed ``_check_impression``."""
     kind = g.kind
     codes, out_ids, input = step.codes, step.out_ids, step.input
     p = input.prob_vector()
@@ -142,15 +142,8 @@ def distortion_bits(g: Optional[Reconstruction], t: Transform, input: Alphabet) 
     if isinstance(g.kind, DeclaredDivergence):
         return g.kind.bits
     _check_impression(g, t, input)
-    return step_distortion(g, compiled(t, input))
-
-
-def step_distortion(g: Optional[Reconstruction], step: Step) -> float:
-    """``distortion_bits`` of reconstruction ``g`` on a compiled step."""
-    if g is None or isinstance(g.kind, DeclaredDivergence):  # declared: no impression needed
-        return distortion_bits(g, step.transform, step.input)
-    v = _impression_vector(g, step)
+    v = _impression_vector(g, compiled(t, input))
     # renormalised as impression()'s Pmf is, so the result is bit-identical
     # to kl_divergence(impression(g, t, input).pmf, input.model.pmf)
     v = v / math.fsum(v)
-    return _kl_vectors(v, step.input.prob_vector())
+    return _kl_vectors(v, input.prob_vector())

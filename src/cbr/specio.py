@@ -37,7 +37,7 @@ from .reconstruction import (
 )
 from .metrics import ENTROPY_MODES, METRICS, SCOPES
 from .workflow import Edge, WorkflowGraph, _check_scored
-from .optimize import Dimension, ParamSpace, apply_dimension
+from .optimize import DanglingReference, Dimension, ParamSpace, apply_dimension
 
 SCHEMA_VERSION = "1"
 
@@ -503,11 +503,10 @@ def _check_targets(space: ParamSpace, graph: WorkflowGraph) -> None:
     graph, and a field that applies to it; a bad field raises the search's
     own ValueError, so that ``validate`` and ``optimize`` agree."""
     for i, d in enumerate(space.dimensions):
-        if not apply_dimension(graph, d):  # a dimension has at least one value
-            scope, name = d.target.split(":", 1)
-            raise SpecError(
-                f"dangling reference: {scope} {name!r}", f"param_space.dimensions[{i}].target"
-            )
+        try:
+            apply_dimension(graph, d)
+        except DanglingReference as exc:
+            raise SpecError(str(exc), f"param_space.dimensions[{i}].target") from None
 
 
 def emit_spec(spec: WorkflowSpec) -> str:

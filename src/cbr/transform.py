@@ -28,6 +28,13 @@ COST_KINDS = ("energy", "time", "monetary", "abstract")
 NODE_KINDS = ("M", "H", "V", "I")
 
 
+def check_cost(amount) -> None:
+    """Raise ValueError unless ``amount``, a cost or a budget, is positive, then finite."""
+    if not amount > 0:
+        raise ValueError("cost must be positive: an action always has a cost")
+    _finite("cost", amount)
+
+
 @dataclass(frozen=True)
 class CostRecord:
     kind: str
@@ -37,9 +44,7 @@ class CostRecord:
     def __post_init__(self):
         if self.kind not in COST_KINDS:
             raise ValueError(f"unknown cost kind {self.kind!r}")
-        if not self.amount > 0:
-            raise ValueError("cost must be positive: an action always has a cost")
-        _finite("cost", self.amount)
+        check_cost(self.amount)
 
     def __add__(self, other: "CostRecord") -> "CostRecord":
         if self.kind != other.kind or self.unit != other.unit:

@@ -16,7 +16,7 @@ import numpy as np
 
 from .alphabet import Alphabet, entropy, max_entropy
 from .transform import CostRecord, Transform, DeclaredHuman, compiled
-from .reconstruction import Reconstruction, step_distortion
+from .reconstruction import Reconstruction, distortion_bits
 from .metrics import StepMetrics, entropy_function
 
 MERGES = ("sum", "max_parallel")  # how cost accumulates: over all edges, or along the critical path
@@ -149,15 +149,11 @@ class WorkflowGraph:
                     )
 
         sinks = [n for n in self.nodes if not self._out[n]]
-        if decisional is None:
-            if len(sinks) != 1:
-                raise ValueError("exactly one decisional sink required")
-            decisional = sinks[0]
-        elif decisional not in sinks:
+        if decisional is not None and decisional not in sinks:
             raise ValueError("decisional node must be a sink")
-        elif len(sinks) != 1:
+        if len(sinks) != 1:
             raise ValueError("exactly one decisional sink required")
-        self.decisional = decisional
+        self.decisional = sinks[0]
 
         # each node's ancestors, itself included, as a bitset over positions
         # in the topological order, filled along that order
@@ -208,7 +204,8 @@ class WorkflowGraph:
             h = entropy_function(entropy_mode)
             e, step = self.edges[i], self._steps[i]
             if i not in self._d_kl:
-                self._d_kl[i] = step_distortion(e.reconstruction, step)
+                # reaches the graph's live step through ``compiled``
+                self._d_kl[i] = distortion_bits(e.reconstruction, e.transform, step.input)
             self._records[key] = StepMetrics(
                 h(step.input), h(self.nodes[e.dst]), self._d_kl[i], e.transform.cost,
                 entropy_mode)

@@ -1,6 +1,7 @@
 import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cbr.alphabet import Pmf, entropy, enumerated, symbolic, uniform
 from cbr.metrics import (
@@ -21,6 +22,7 @@ from cbr.reconstruction import (
     distortion_bits,
 )
 from cbr.transform import (
+    Channel,
     CostRecord,
     DeclaredHuman,
     Transform,
@@ -134,6 +136,21 @@ class TestStepMetrics:
             assert m.incremental_cbr == pytest.approx(
                 machine_cbr(i, entropy(out), t.cost), abs=1e-9
             )
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.floats(0.01, 1.0), min_size=2, max_size=12))
+def test_machine_centric_distortion_non_negative_on_a_noiseless_channel(weights):
+    """H(in) - I(in; out) >= 0, with equality on an identity channel, where
+    the two are computed apart and their difference rounds either way."""
+    ids = tuple(f"x{i}" for i in range(len(weights)))
+    a = enumerated("a", {x: w / math.fsum(weights) for x, w in zip(ids, weights)})
+    rows = tuple(tuple(float(i == j) for j in range(len(ids))) for i in range(len(ids)))
+    t = Transform("copy", Channel(ids, ids, rows), COST)
+    m = step_metrics(t, None, a, pushforward(t, a), machine_centric=True)
+    assert 0.0 <= m.d_kl < 1e-12
+    assert m.benefit_bits == pytest.approx(0.0, abs=1e-12)
+    assert m.pdr >= 0.0 and m.ecr == pytest.approx(1.0)
 
 
 class TestGroupingIdentity:

@@ -10,8 +10,10 @@ from hypothesis import assume, given, reject, settings, strategies as st
 
 from cbr.alphabet import entropy, symbolic
 from cbr.cli import main
+import cbr.optimize
 from cbr.optimize import (
     DEFAULT_SEED,
+    DanglingReference,
     Dimension,
     ParamSpace,
     _frontier,
@@ -441,6 +443,53 @@ class TestGreedy:
             greedy_search(chain_graph(), chain_space(), restarts=0)
 
 
+SEARCHES = {
+    "exhaustive": exhaustive_search,
+    "greedy": lambda g, space, **kwargs: greedy_search(g, space, restarts=2, seed=0, **kwargs),
+}
+
+
+@pytest.mark.parametrize("search", sorted(SEARCHES))
+class TestRejectedBeforeEvaluation:
+    """A search checks its budget and every dimension's target before it
+    evaluates any assignment, with the messages the CLI prints."""
+
+    @pytest.fixture(autouse=True)
+    def no_evaluation(self, monkeypatch):
+        def evaluated(*args):
+            raise AssertionError("an assignment was evaluated")
+
+        monkeypatch.setattr(cbr.optimize._Evaluator, "table", evaluated)
+
+    @pytest.mark.parametrize("budget, message", [
+        (math.inf, "cost must be finite"),
+        (math.nan, "cost must be positive: an action always has a cost"),
+        (0, "cost must be positive: an action always has a cost"),
+        (-1.0, "cost must be positive: an action always has a cost"),
+    ])
+    def test_budget_not_a_positive_finite_number(self, search, budget, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            SEARCHES[search](chain_graph(), chain_space(), budget=budget)
+
+    def test_budget_not_a_number(self, search):
+        with pytest.raises(TypeError):
+            SEARCHES[search](chain_graph(), chain_space(), budget=CostRecord("time", 3.0, "s"))
+
+    @pytest.mark.parametrize("target, field, values, message", [
+        ("transform:nosuch", "cost_amount", (1.0, 2.0, 3.0), "transform 'nosuch'"),
+        ("reconstruction:nope", "declared_bits", (0.0, 1.0), "reconstruction 'nope'"),
+        ("edge:A->B", "enabled", (True, False), "edge 'A->B'"),
+    ])
+    def test_dangling_target(self, search, target, field, values, message):
+        """A dimension that names nothing in the graph would leave every
+        assignment the same graph."""
+        g = fixture_share_price(1).build_graph()
+        space = ParamSpace((Dimension("transform:plot", "cost_amount", (1.0, 2.0)),
+                            Dimension(target, field, values)))
+        with pytest.raises(DanglingReference, match=f"^dangling reference: {message}$"):
+            SEARCHES[search](g, space, entropy_mode="maximal")
+
+
 class TestPareto:
     def test_known_frontier(self):
         points = [(1.0, 2.0), (2.0, 1.0), (2.0, 5.0), (3.0, 4.0), (4.0, 6.0)]
@@ -721,6 +770,26 @@ class TestRecordsView:
                 if error is None:
                     assert frontier_csv(result) == float_key_frontier_csv(result)
 
+    def test_iteration_memory_is_bounded(self):
+        """Iterating 16^4 records converts the search's arrays to Python
+        numbers a chunk at a time, so its traced peak stays under 1 MB
+        (whole-array lists took about 7 MB)."""
+        g = fixture_share_price(1).build_graph()
+        swept = ["aggregate", "plot", "recognize", "correlate"]
+        values = [tuple(0.5 + 0.25 * k + 0.01 * i for k in range(16)) for i in range(len(swept))]
+        space = ParamSpace(
+            tuple(Dimension(f"transform:{t}", "cost_amount", v) for t, v in zip(swept, values))
+        )
+        records = exhaustive_search(g, space, entropy_mode="maximal").records
+        tracemalloc.start()
+        try:
+            count = sum(1 for _ in records)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert count == len(records) == 16**4
+        assert peak < 1e6
+
     def test_large_cost_only_space_memory(self):
         """The 10^5-combination space of ``TestAgainstBruteForce``: the
         search holds arrays, not one record per assignment, so its traced
@@ -778,6 +847,64 @@ def oracle_search(nodes, steps, space, budget, mode, merge):
         if not frontier or ben > frontier[-1][1] + 1e-9:
             frontier.append((cost, ben))
     return best, frontier
+
+
+def zero_benefit_case(to_n2: dict):
+    """X (16 uniform letters) -> N1 by a declared step, X -> N2 by the
+    grouping ``to_n2`` and N1 -> N3 by an exact one, and N2, N3 -> D by
+    declared steps. D's 3 bits make the joint's true benefit [0, 0], which
+    the sum reads with a rounding error that depends on ``to_n2``."""
+    x = {str(i): 1 / 16 for i in range(16)}
+    n2 = {}
+    for letter, group in to_n2.items():
+        n2[group] = n2.get(group, 0.0) + x[letter]
+    nodes = {"X": x, "N1": {"h0": 0.5, "h1": 0.5}, "N2": n2, "N3": {"yh0": 0.5, "yh1": 0.5},
+             "D": {f"d{i}": 1 / 8 for i in range(8)}}
+
+    def step(name, src, dst, letters=None, bits=None):
+        recon = None if letters is None else ("exact", None)
+        return dict(name=name, src=src, dst=dst, map=letters, cuts=None, recon=recon, bits=bits)
+
+    steps = [step("s0", "X", "N1", bits=0.25),
+             step("s1", "X", "N2", to_n2),
+             step("s2", "N1", "N3", {"h0": "yh0", "h1": "yh1"}),
+             step("s3", "N2", "D", bits=0.25),
+             step("s4", "N3", "D", bits=1.5)]
+    graph, _ = build(nodes, steps)
+    return nodes, steps, graph, ParamSpace((Dimension("transform:s0", "cost_amount", (1.0, 2.0)),))
+
+
+def test_zero_benefit_tie_goes_to_the_lower_cost():
+    """The benefit reads -2.2e-16, and so scores higher at the larger cost.
+    Scores within 1e-9 tie, as in ``oracle_search``, so the lower cost wins."""
+    nodes, steps, graph, space = zero_benefit_case({str(i): f"x{i % 3}" for i in range(16)})
+    assert -1e-15 < graph.total_benefit().hi < 0.0
+    best, _ = oracle_search(nodes, steps, space, None, "actual", "sum")
+    assert best == {("transform:s0", "cost_amount"): 1.0}
+    assert exhaustive_search(graph, space).best_assignment == best
+    for seed in range(4):
+        assert greedy_search(graph, space, seed=seed).best_assignment == best
+
+
+def test_greedy_does_not_move_on_a_tied_rise(monkeypatch):
+    """The benefit reads +2.2e-16, so the cheaper assignment scores higher
+    by under 1e-16: within 1e-9, no move. From either start, greedy scores
+    the start and one line, and stops."""
+    to_n2 = {str(i): "x0" if i < 2 else "x1" if i < 8 else "x2" for i in range(16)}
+    _, _, graph, space = zero_benefit_case(to_n2)
+    assert 0.0 < graph.total_benefit().hi < 1e-15
+    table = cbr.optimize._Evaluator.table
+    calls = []
+    monkeypatch.setattr(cbr.optimize._Evaluator, "table",
+                        lambda self, candidates: calls.append(candidates) or table(self, candidates))
+    starts = set()
+    for seed in range(4):
+        calls.clear()
+        result = greedy_search(graph, space, seed=seed)
+        starts.add(calls[0][0][0])
+        assert len(calls) == 2
+        assert result.best_assignment == {("transform:s0", "cost_amount"): 1.0}
+    assert starts == {0, 1}
 
 
 @st.composite

@@ -428,7 +428,7 @@ class TestComputedOnce:
         spec = parse_spec(json.dumps(enum_fork_join()))
         graph = spec.build_graph()
         assert len(steps) == len(graph.edges)
-        calls = count_calls(monkeypatch, "deterministic_codes", "step_distortion")
+        calls = count_calls(monkeypatch, "deterministic_codes", "distortion_bits")
         first = graph.analyze()
         assert graph.edge_metrics() == first.per_edge
         assert graph.edge_metrics() == first.per_edge
@@ -443,7 +443,7 @@ class TestComputedOnce:
         rows = check_fixture(Fixture("enum", spec, expected))
         assert all(r[4] for r in rows), rows
         assert calls["deterministic_codes"] == 0
-        assert calls["step_distortion"] == len(graph.edges)
+        assert calls["distortion_bits"] == len(graph.edges)
         assert len(steps) == len(graph.edges)
 
     def test_dropped_graph_freed_without_collection(self):

@@ -104,6 +104,23 @@ class TestValidation:
         with pytest.raises(ValueError, match="decisional sink"):
             WorkflowGraph(nodes, edges)
 
+    def test_decisional_node_must_be_a_sink(self):
+        nodes = {"a": symbolic("a", 3.0), "b": symbolic("b", 2.0)}
+        edges = [Edge("a", "b", declared("t1", nodes["b"], 0.0, "M"))]
+        for decisional in ("a", "nowhere"):
+            with pytest.raises(ValueError, match="^decisional node must be a sink$"):
+                WorkflowGraph(nodes, edges, decisional=decisional)
+        assert WorkflowGraph(nodes, edges, decisional="b").decisional == "b"
+
+    def test_decisional_sink_checked_before_the_sink_count(self):
+        """With two sinks, a decisional node that is no sink is named as such."""
+        nodes = {n: symbolic(n, h) for n, h in {"a": 3.0, "b": 2.0, "c": 1.0}.items()}
+        edges = [Edge("a", n, declared(f"t{n}", nodes[n], 0.0, "M")) for n in "bc"]
+        with pytest.raises(ValueError, match="^decisional node must be a sink$"):
+            WorkflowGraph(nodes, edges, decisional="a")
+        with pytest.raises(ValueError, match="^exactly one decisional sink required$"):
+            WorkflowGraph(nodes, edges, decisional="b")
+
     @pytest.mark.parametrize("order", ["AB", "BA"])
     def test_transform_on_two_edges_rejected(self, order):
         """Per-edge results are keyed by transform name, so one transform on
@@ -354,10 +371,10 @@ def test_unknown_entropy_mode_rejected(entry, mode):
 
 def test_one_distortion_per_edge_across_modes(monkeypatch):
     graph = parse_spec(json.dumps(enum_fork_join())).build_graph()
-    calls = count_calls(monkeypatch, "step_distortion")
+    calls = count_calls(monkeypatch, "distortion_bits")
     actual = graph.analyze("actual")
     maximal = graph.analyze("maximal")
-    assert calls["step_distortion"] == len(graph.edges) == 4
+    assert calls["distortion_bits"] == len(graph.edges) == 4
     for name, m in actual.per_edge.items():
         assert maximal.per_edge[name].d_kl == m.d_kl > 0.0
 
